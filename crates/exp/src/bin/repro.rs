@@ -21,7 +21,7 @@
 use std::io::Write as _;
 
 use edgerep_exp::figures;
-use edgerep_exp::plot::{figure_to_svg, Panel, PlotStyle};
+use edgerep_exp::plot::{figure_to_svg, PlotStyle};
 use edgerep_exp::report::{render_csv, render_markdown, render_metrics_csv, render_text};
 use edgerep_exp::{extensions, FigureData};
 use edgerep_obs as obs;
@@ -153,7 +153,9 @@ fn main() {
     if figures_wanted.is_empty() {
         die(&usage());
     }
-    figures_wanted.dedup();
+    // Each figure runs once, at its first mention (`repro all fig2`).
+    let mut seen = std::collections::HashSet::new();
+    figures_wanted.retain(|f| seen.insert(f.clone()));
 
     // With --csv, runner/parallel span timings and admission-reject
     // counters are captured per figure and written as a metrics sidecar
@@ -291,9 +293,9 @@ fn main() {
 fn write_svgs(data: &FigureData, dir: &str, out: &mut impl std::io::Write) {
     std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir {dir}: {e}")));
     let style = PlotStyle::default();
-    for panel in [Panel::Volume, Panel::Throughput] {
-        let path = format!("{dir}/{}_{}.svg", data.id, panel.suffix());
-        std::fs::write(&path, figure_to_svg(data, panel, &style))
+    for (m, metric) in data.metrics.iter().enumerate() {
+        let path = format!("{dir}/{}_{}.svg", data.id, metric.key);
+        std::fs::write(&path, figure_to_svg(data, m, &style))
             .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
         let _ = writeln!(out, "[svg written to {path}]");
     }

@@ -18,23 +18,24 @@ use edgerep_core::online::{OnlineAppro, OnlineConfig};
 use edgerep_core::refine::Refined;
 use edgerep_core::{BoxedAlgorithm, PlacementAlgorithm};
 use edgerep_forecast::ForecasterKind;
+use edgerep_model::RedundancyScheme;
+use edgerep_shard::{ShardConfig, ShardedSolver};
 use edgerep_testbed::rolling::{run_rolling, ReplanPolicy, RollingConfig};
 use edgerep_testbed::{
     render_slo_csv, run_testbed, run_testbed_with_faults, try_run_testbed_with_plan, ChunkedConfig,
     ConsistencyConfig, FaultConfig, FaultPlan, NodeFailure, SimConfig, SloSample, TestbedConfig,
     TransferModel,
 };
-use edgerep_model::RedundancyScheme;
-use edgerep_shard::{ShardConfig, ShardedSolver};
 use edgerep_workload::params::TopologyModel;
 use edgerep_workload::{generate_instance, WorkloadParams};
 
 use std::time::Instant;
 
-use crate::figures::{FigureData, FigureRow};
+use crate::figures::{
+    simulation_figure, FigureData, FigureRow, Metric, Series, PAPER_METRICS, VOLUME,
+};
 use crate::parallel::par_map;
-use crate::runner::{run_grid, AlgResult};
-use crate::stats::Summary;
+use crate::runner::run_grid;
 
 /// Every extension figure id — the `repro ext` set.
 pub const EXT_IDS: [&str; 10] = [
@@ -53,10 +54,39 @@ pub const EXT_IDS: [&str; 10] = [
 /// Consistency-cost weights γ reported by [`ext_net_benefit`].
 pub const GAMMA_VALUES: [f64; 3] = [0.0, 0.5, 2.0];
 
+/// [`ext_net_benefit`]'s metrics: net benefit and the γ-independent
+/// consistency cost per admitted GB.
+const NET_BENEFIT_METRICS: [Metric; 2] = [
+    Metric::new(
+        "net_benefit",
+        "net benefit (volume − γ · consistency traffic)",
+        "GB",
+        2,
+    ),
+    Metric::new(
+        "consistency_per_gb",
+        "consistency traffic per admitted GB",
+        "GB/GB",
+        3,
+    ),
+];
+
+/// Fraction of planned-admitted queries not lost to faults.
+const AVAILABILITY: Metric = Metric::new(
+    "availability",
+    "availability: planned-admitted queries not lost to faults",
+    "fraction",
+    3,
+);
+
+/// The availability figures' metrics: measured volume and availability.
+const AVAILABILITY_METRICS: [Metric; 2] = [VOLUME, AVAILABILITY];
+
 /// Net-benefit sweep over `K` on the dynamic testbed.
 ///
-/// Returns one figure whose "algorithms" are the γ values: series
-/// `net(γ) = measured volume − γ · consistency GB` per `K`.
+/// Returns one figure whose series are the γ values, reporting
+/// `net(γ) = measured volume − γ · consistency GB` and the consistency GB
+/// per admitted GB per `K`.
 pub fn ext_net_benefit(seeds: usize) -> FigureData {
     assert!(seeds >= 1);
     let ks = [1usize, 2, 3, 4, 5, 6, 7];
@@ -84,39 +114,29 @@ pub fn ext_net_benefit(seeds: usize) -> FigureData {
         .iter()
         .zip(&per_k)
         .map(|(&k, samples)| {
-            let results = GAMMA_VALUES
+            let series = GAMMA_VALUES
                 .iter()
                 .map(|&gamma| {
-                    let nets: Vec<f64> = samples
-                        .iter()
-                        .map(|&(vol, cons)| vol - gamma * cons)
-                        .collect();
-                    let fraction_cost: Vec<f64> = samples
-                        .iter()
-                        .map(|&(vol, cons)| if vol > 0.0 { cons / vol } else { 0.0 })
-                        .collect();
-                    AlgResult {
-                        name: format!("net benefit (γ={gamma})"),
-                        volume: Summary::of(&nets),
-                        throughput: Summary::of(&fraction_cost),
-                    }
+                    let per_seed = samples.iter().map(|&(vol, cons)| {
+                        [vol - gamma * cons, if vol > 0.0 { cons / vol } else { 0.0 }]
+                    });
+                    Series::of(format!("γ={gamma}"), per_seed)
                 })
                 .collect();
             FigureRow {
                 x: k as f64,
-                results,
+                series,
             }
         })
         .collect();
-    FigureData {
-        id: "ext-netbenefit".to_owned(),
-        title: "Extension: net benefit of the replica budget under §2.4 consistency updates \
-                (volume − γ·consistency GB; panel (b) shows consistency GB per admitted GB)"
-            .to_owned(),
-        x_label: "K".to_owned(),
+    FigureData::new(
+        "ext-netbenefit",
+        "Extension: net benefit of the replica budget under §2.4 consistency updates \
+         (one series per consistency-cost weight γ)",
+        "K",
+        &NET_BENEFIT_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
 
 /// Online-vs-offline sweep over the admission threshold.
@@ -128,7 +148,7 @@ pub fn ext_online(seeds: usize) -> FigureData {
     // built once up front and every threshold competes on it.
     let seed_ids: Vec<u64> = (0..seeds as u64).collect();
     let instances = par_map(&seed_ids, |&seed| generate_instance(&params, seed));
-    let per_thr: Vec<Vec<(f64, f64, f64, f64)>> = run_grid(thresholds.len(), seeds, |ti, seed| {
+    let per_thr: Vec<Vec<[[f64; 2]; 2]>> = run_grid(thresholds.len(), seeds, |ti, seed| {
         let inst = &instances[seed];
         let online = OnlineAppro::with_config(OnlineConfig {
             admission_threshold: thresholds[ti],
@@ -136,75 +156,57 @@ pub fn ext_online(seeds: usize) -> FigureData {
         })
         .run(inst);
         let offline = ApproG::default().solve(inst);
-        (
-            online.solution.admitted_volume(inst),
-            online.solution.throughput(inst),
-            offline.admitted_volume(inst),
-            offline.throughput(inst),
-        )
+        [
+            [
+                online.solution.admitted_volume(inst),
+                online.solution.throughput(inst),
+            ],
+            [offline.admitted_volume(inst), offline.throughput(inst)],
+        ]
     });
     let rows = thresholds
         .iter()
         .zip(&per_thr)
-        .map(|(&thr, samples)| {
-            let pick = |f: fn(&(f64, f64, f64, f64)) -> f64| -> Vec<f64> {
-                samples.iter().map(f).collect()
-            };
-            FigureRow {
-                x: if thr.is_finite() { thr } else { 99.0 },
-                results: vec![
-                    AlgResult {
-                        name: "Online-Appro".to_owned(),
-                        volume: Summary::of(&pick(|s| s.0)),
-                        throughput: Summary::of(&pick(|s| s.1)),
-                    },
-                    AlgResult {
-                        name: "Appro-G (offline)".to_owned(),
-                        volume: Summary::of(&pick(|s| s.2)),
-                        throughput: Summary::of(&pick(|s| s.3)),
-                    },
-                ],
-            }
+        .map(|(&thr, samples)| FigureRow {
+            x: if thr.is_finite() { thr } else { 99.0 },
+            series: Series::per_arm(["Online-Appro", "Appro-G (offline)"], samples),
         })
         .collect();
-    FigureData {
-        id: "ext-online".to_owned(),
-        title: "Extension: online admission control vs the offline algorithm \
-                (x = admission threshold; 99 = unbounded)"
-            .to_owned(),
-        x_label: "threshold".to_owned(),
+    FigureData::new(
+        "ext-online",
+        "Extension: online admission control vs the offline algorithm \
+         (x = admission threshold; 99 = unbounded)",
+        "threshold",
+        &PAPER_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
 
 /// Refinement ablation: each simulation algorithm with and without the
 /// local-search post-pass, at the paper-default configuration. The x axis
-/// indexes the base algorithm (0 = Appro-G, 1 = Greedy-G, 2 = Graph-G);
-/// panel columns are base vs refined.
+/// is a single point; the series are each base algorithm followed by its
+/// refined variant.
 pub fn ext_refine(seeds: usize) -> FigureData {
     assert!(seeds >= 1);
-    let panel: Vec<BoxedAlgorithm> = vec![
-        Box::new(ApproG::default()),
-        Box::new(Refined::new(ApproG::default(), "Appro-G+refine")),
-        Box::new(Greedy::general()),
-        Box::new(Refined::new(Greedy::general(), "Greedy-G+refine")),
-        Box::new(GraphPartition::general()),
-        Box::new(Refined::new(GraphPartition::general(), "Graph-G+refine")),
-    ];
-    let params = WorkloadParams::default();
-    let rows = vec![FigureRow {
-        x: 0.0,
-        results: crate::runner::run_simulation_point(&params, &panel, seeds),
-    }];
-    FigureData {
-        id: "ext-refine".to_owned(),
-        title: "Extension: local-search refinement on top of each algorithm                 (paper-default workload; one row, base vs +refine columns)"
-            .to_owned(),
-        x_label: "-".to_owned(),
-        rows,
-        timeseries: None,
-    }
+    simulation_figure(
+        "ext-refine",
+        "Extension: local-search refinement on top of each algorithm \
+         (paper-default workload; one row, base vs +refine series)",
+        "-",
+        &[0],
+        seeds,
+        |_| {
+            let panel: Vec<BoxedAlgorithm> = vec![
+                Box::new(ApproG::default()),
+                Box::new(Refined::new(ApproG::default(), "Appro-G+refine")),
+                Box::new(Greedy::general()),
+                Box::new(Refined::new(Greedy::general(), "Greedy-G+refine")),
+                Box::new(GraphPartition::general()),
+                Box::new(Refined::new(GraphPartition::general(), "Graph-G+refine")),
+            ];
+            (WorkloadParams::default(), panel)
+        },
+    )
 }
 
 /// Topology-robustness check: the Fig. 3 panel on the paper's flat
@@ -212,43 +214,33 @@ pub fn ext_refine(seeds: usize) -> FigureData {
 /// transit-stub). The paper's ordering should hold on both.
 pub fn ext_topology(seeds: usize) -> FigureData {
     assert!(seeds >= 1);
-    let rows = [TopologyModel::FlatRandom, TopologyModel::TransitStub]
-        .iter()
-        .enumerate()
-        .map(|(i, &topology)| {
+    let topologies = [TopologyModel::FlatRandom, TopologyModel::TransitStub];
+    simulation_figure(
+        "ext-topology",
+        "Extension: Fig. 3 panel across topology families \
+         (x = 0 flat GT-ITM, x = 1 transit-stub)",
+        "topology",
+        &[0, 1],
+        seeds,
+        |i| {
             let params = WorkloadParams {
-                topology,
+                topology: topologies[i],
                 ..Default::default()
             };
-            FigureRow {
-                x: i as f64,
-                results: crate::runner::run_simulation_point(
-                    &params,
-                    &edgerep_core::simulation_panel(),
-                    seeds,
-                ),
-            }
-        })
-        .collect();
-    FigureData {
-        id: "ext-topology".to_owned(),
-        title: "Extension: Fig. 3 panel across topology families                 (x = 0 flat GT-ITM, x = 1 transit-stub)"
-            .to_owned(),
-        x_label: "topology".to_owned(),
-        rows,
-        timeseries: None,
-    }
+            (params, edgerep_core::simulation_panel())
+        },
+    )
 }
 
 /// Fault-tolerance sweep: the busiest cloudlet VM fails at t = 0; measured
 /// volume and throughput vs `K` quantify how replication buys
-/// availability. Panel columns: fault-free vs faulty run of `Appro-G`.
+/// availability. Series: fault-free vs faulty run of `Appro-G`.
 pub fn ext_faults(seeds: usize) -> FigureData {
     assert!(seeds >= 1);
     let ks = [1usize, 2, 3, 4, 5];
     // One flat K × seed grid; each cell runs the clean and the faulty
     // arm back to back so both see the same world.
-    let per_k: Vec<Vec<((f64, f64), (f64, f64))>> = run_grid(ks.len(), seeds, |ki, seed| {
+    let per_k: Vec<Vec<[[f64; 2]; 2]>> = run_grid(ks.len(), seeds, |ki, seed| {
         let seed = seed as u64;
         let cfg = TestbedConfig::default().with_max_replicas(ks[ki]);
         let world = edgerep_testbed::build_testbed_instance(&cfg, seed);
@@ -275,41 +267,30 @@ pub fn ext_faults(seeds: usize) -> FigureData {
                 at_s: 0.0,
             }],
         );
-        (
-            (clean.measured_volume, clean.measured_throughput),
-            (faulty.measured_volume, faulty.measured_throughput),
-        )
+        [
+            [clean.measured_volume, clean.measured_throughput],
+            [faulty.measured_volume, faulty.measured_throughput],
+        ]
     });
     let rows = ks
         .iter()
         .zip(&per_k)
-        .map(|(&k, samples)| {
-            let results = vec![
-                AlgResult {
-                    name: "Appro-G (fault-free)".to_owned(),
-                    volume: Summary::of(&samples.iter().map(|s| s.0 .0).collect::<Vec<_>>()),
-                    throughput: Summary::of(&samples.iter().map(|s| s.0 .1).collect::<Vec<_>>()),
-                },
-                AlgResult {
-                    name: "Appro-G (busiest VM down)".to_owned(),
-                    volume: Summary::of(&samples.iter().map(|s| s.1 .0).collect::<Vec<_>>()),
-                    throughput: Summary::of(&samples.iter().map(|s| s.1 .1).collect::<Vec<_>>()),
-                },
-            ];
-            FigureRow {
-                x: k as f64,
-                results,
-            }
+        .map(|(&k, samples)| FigureRow {
+            x: k as f64,
+            series: Series::per_arm(
+                ["Appro-G (fault-free)", "Appro-G (busiest VM down)"],
+                samples,
+            ),
         })
         .collect();
-    FigureData {
-        id: "ext-faults".to_owned(),
-        title: "Extension: availability under a busiest-VM failure                 (measured, failover enabled; more replicas = smaller gap)"
-            .to_owned(),
-        x_label: "K".to_owned(),
+    FigureData::new(
+        "ext-faults",
+        "Extension: availability under a busiest-VM failure \
+         (measured, failover enabled; more replicas = smaller gap)",
+        "K",
+        &PAPER_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
 
 /// The MTBF/MTTR profile [`ext_availability`] sweeps: heavy transient
@@ -343,41 +324,30 @@ fn arm_transfer(chunked: bool) -> TransferModel {
     }
 }
 
-/// Measured volume and availability for one (world, plan, arm) cell.
+/// Measured volume and availability ([`AVAILABILITY_METRICS`]) of all
+/// three [`AVAIL_ARMS`] for one (world, plan) cell.
 /// The plain availability figure keeps NIC contention off so the
 /// point-to-point and chunked engines run the same uncontended physics
 /// and differ only in how they survive faults (with no faults they are
 /// byte-identical — pinned in tests); the storm figure turns it on so
 /// flows last long enough for correlated bursts to catch them mid-air.
-fn availability_cell(
-    world: &edgerep_testbed::TestbedWorld,
-    plan: &FaultPlan,
-    seed: u64,
-    repair: bool,
-    transfer: TransferModel,
-    nic_contention: bool,
-) -> (f64, f64) {
-    let sim = SimConfig {
-        seed,
-        repair,
-        transfer,
-        nic_contention,
-        ..Default::default()
-    };
-    let report = try_run_testbed_with_plan(&ApproG::default(), world, &sim, plan)
-        .expect("generated fault plans validate");
-    (report.measured_volume, report.availability)
-}
-
-/// All three [`AVAIL_ARMS`] for one (world, plan) cell.
 fn availability_cells(
     world: &edgerep_testbed::TestbedWorld,
     plan: &FaultPlan,
     seed: u64,
     nic_contention: bool,
-) -> [(f64, f64); 3] {
+) -> [[f64; 2]; 3] {
     AVAIL_ARMS.map(|(_, repair, chunked)| {
-        availability_cell(world, plan, seed, repair, arm_transfer(chunked), nic_contention)
+        let sim = SimConfig {
+            seed,
+            repair,
+            transfer: arm_transfer(chunked),
+            nic_contention,
+            ..Default::default()
+        };
+        let report = try_run_testbed_with_plan(&ApproG::default(), world, &sim, plan)
+            .expect("generated fault plans validate");
+        [report.measured_volume, report.availability]
     })
 }
 
@@ -396,65 +366,67 @@ fn testbed_storm_regions(nodes: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Builds one testbed world per (row, seed) up front, in parallel, at
-/// index `row * seeds + seed`, so no grid cell ever blocks waiting for
-/// another cell's world.
-fn build_worlds(
+/// Runs `cell(x, world, seed)` over the whole x × row × seed cube as ONE
+/// flat parallel task list, results x-major. A world depends only on
+/// (row, seed): each is built once, up front and in parallel, so no cell
+/// blocks waiting for another cell's world, and every x reuses it.
+fn world_sweep<R: Send>(
+    xs: usize,
     rows: usize,
     seeds: usize,
     cfg: impl Fn(usize) -> TestbedConfig + Sync,
-) -> Vec<edgerep_testbed::TestbedWorld> {
+    cell: impl Fn(usize, &edgerep_testbed::TestbedWorld, u64) -> R + Sync,
+) -> Vec<R> {
     let keys: Vec<(usize, u64)> = (0..rows)
         .flat_map(|r| (0..seeds as u64).map(move |s| (r, s)))
         .collect();
-    par_map(&keys, |&(r, seed)| {
+    let worlds = par_map(&keys, |&(r, seed)| {
         edgerep_testbed::build_testbed_instance(&cfg(r), seed)
-    })
+    });
+    let tasks: Vec<(usize, usize)> = (0..xs)
+        .flat_map(|x| (0..keys.len()).map(move |w| (x, w)))
+        .collect();
+    par_map(&tasks, |&(x, w)| cell(x, &worlds[w], keys[w].1))
 }
 
-/// Availability sweep: measured volume (panel a) and availability — the
-/// fraction of planned-admitted queries not lost to faults — (panel b)
-/// vs the fraction of fault-prone nodes, for K ∈ {1..4} with controller
-/// repair off and on. Faults are MTBF/MTTR transient outages from
+/// One x point's (K × seed) availability cells as a series per (K, arm).
+fn availability_series(ks: &[usize], seeds: usize, cells: &[[[f64; 2]; 3]]) -> Vec<Series> {
+    ks.iter()
+        .zip(cells.chunks(seeds))
+        .flat_map(|(&k, samples)| {
+            let names = AVAIL_ARMS.map(|(label, _, _)| format!("Appro-G K={k} {label}"));
+            Series::per_arm(names, samples)
+        })
+        .collect()
+}
+
+/// Availability sweep: measured volume and availability — the fraction
+/// of planned-admitted queries not lost to faults — vs the fraction of
+/// fault-prone nodes, for K ∈ {1..4} with controller repair off and on. Faults are MTBF/MTTR transient outages from
 /// [`FaultConfig`]; the same seeded plan is used for both repair arms,
 /// so the on/off gap is pure repair benefit.
 pub fn ext_availability(seeds: usize) -> FigureData {
     assert!(seeds >= 1);
     let fractions = [0.0f64, 0.1, 0.2, 0.4];
     let ks = [1usize, 2, 3, 4];
-    // The full fraction × K × seed cube as ONE flat task list (240 cells
-    // at the paper's 15 seeds). A world depends only on (K, seed), so it
-    // is built once up front and every fraction reuses it.
-    let worlds = build_worlds(ks.len(), seeds, |ki| {
-        TestbedConfig::default().with_max_replicas(ks[ki])
-    });
-    let tasks: Vec<(usize, usize, usize)> = (0..fractions.len())
-        .flat_map(|fi| (0..ks.len()).flat_map(move |ki| (0..seeds).map(move |s| (fi, ki, s))))
-        .collect();
-    let flat: Vec<[(f64, f64); 3]> = par_map(&tasks, |&(fi, ki, s)| {
-        let seed = s as u64;
-        let world = &worlds[ki * seeds + s];
-        let plan = availability_fault_profile(fractions[fi], seed)
-            .generate(world.instance.cloud().compute_count());
-        availability_cells(world, &plan, seed, false)
-    });
+    // 240 cells at the paper's 15 seeds.
+    let flat = world_sweep(
+        fractions.len(),
+        ks.len(),
+        seeds,
+        |ki| TestbedConfig::default().with_max_replicas(ks[ki]),
+        |fi, world, seed| {
+            let plan = availability_fault_profile(fractions[fi], seed)
+                .generate(world.instance.cloud().compute_count());
+            availability_cells(world, &plan, seed, false)
+        },
+    );
     let rows = fractions
         .iter()
         .zip(flat.chunks(ks.len() * seeds))
-        .map(|(&frac, frac_cells)| {
-            let mut results = Vec::with_capacity(ks.len() * AVAIL_ARMS.len());
-            for (&k, samples) in ks.iter().zip(frac_cells.chunks(seeds)) {
-                for (ai, (label, _, _)) in AVAIL_ARMS.iter().enumerate() {
-                    results.push(AlgResult {
-                        name: format!("Appro-G K={k} {label}"),
-                        volume: Summary::of(&samples.iter().map(|s| s[ai].0).collect::<Vec<_>>()),
-                        throughput: Summary::of(
-                            &samples.iter().map(|s| s[ai].1).collect::<Vec<_>>(),
-                        ),
-                    });
-                }
-            }
-            FigureRow { x: frac, results }
+        .map(|(&x, cells)| FigureRow {
+            x,
+            series: availability_series(&ks, seeds, cells),
         })
         .collect();
     // Trajectory sidecar: one seed-0 run per repair arm at the harshest
@@ -486,12 +458,15 @@ pub fn ext_availability(seeds: usize) -> FigureData {
         Some(render_slo_csv(&series))
     };
     FigureData {
-        id: "ext-availability".to_owned(),
-        title: "Extension: availability under transient MTBF/MTTR node faults                 (panel (a) measured volume, panel (b) column reports availability;                 no repair vs p2p repair vs chunked repair per K)"
-            .to_owned(),
-        x_label: "fault fraction".to_owned(),
-        rows,
         timeseries,
+        ..FigureData::new(
+            "ext-availability",
+            "Extension: availability under transient MTBF/MTTR node faults \
+             (no repair vs p2p repair vs chunked repair per K)",
+            "fault fraction",
+            &AVAILABILITY_METRICS,
+            rows,
+        )
     }
 }
 
@@ -505,7 +480,7 @@ pub fn ext_availability_with_plan(seeds: usize, fault_plan: &FaultPlan) -> Figur
     assert!(seeds >= 1);
     let ks = [1usize, 2, 3, 4];
     // One flat K × seed grid; all three arms share the cell's world.
-    let per_k: Vec<Vec<[(f64, f64); 3]>> = run_grid(ks.len(), seeds, |ki, seed| {
+    let per_k: Vec<Vec<[[f64; 2]; 3]>> = run_grid(ks.len(), seeds, |ki, seed| {
         let seed = seed as u64;
         let cfg = TestbedConfig::default().with_max_replicas(ks[ki]);
         let world = edgerep_testbed::build_testbed_instance(&cfg, seed);
@@ -514,30 +489,22 @@ pub fn ext_availability_with_plan(seeds: usize, fault_plan: &FaultPlan) -> Figur
     let rows = ks
         .iter()
         .zip(&per_k)
-        .map(|(&k, samples)| {
-            let results = AVAIL_ARMS
-                .iter()
-                .enumerate()
-                .map(|(ai, (label, _, _))| AlgResult {
-                    name: format!("Appro-G {label}"),
-                    volume: Summary::of(&samples.iter().map(|s| s[ai].0).collect::<Vec<_>>()),
-                    throughput: Summary::of(&samples.iter().map(|s| s[ai].1).collect::<Vec<_>>()),
-                })
-                .collect();
-            FigureRow {
-                x: k as f64,
-                results,
-            }
+        .map(|(&k, samples)| FigureRow {
+            x: k as f64,
+            series: Series::per_arm(
+                AVAIL_ARMS.map(|(label, _, _)| format!("Appro-G {label}")),
+                samples,
+            ),
         })
         .collect();
-    FigureData {
-        id: "ext-availability".to_owned(),
-        title: "Extension: availability under a user-supplied fault plan                 (x = K; no repair vs p2p repair vs chunked repair;                 panel (b) column reports availability)"
-            .to_owned(),
-        x_label: "K".to_owned(),
+    FigureData::new(
+        "ext-availability",
+        "Extension: availability under a user-supplied fault plan \
+         (x = K; no repair vs p2p repair vs chunked repair)",
+        "K",
+        &AVAILABILITY_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
 
 /// The correlated failure-storm profile `repro ext-availability --storm`
@@ -571,50 +538,34 @@ pub fn ext_availability_storm(seeds: usize) -> FigureData {
     assert!(seeds >= 1);
     let storm_counts = [0usize, 1, 2];
     let ks = [1usize, 2, 3, 4];
-    let worlds = build_worlds(ks.len(), seeds, |ki| {
-        TestbedConfig::default().with_max_replicas(ks[ki])
-    });
-    let tasks: Vec<(usize, usize, usize)> = (0..storm_counts.len())
-        .flat_map(|si| (0..ks.len()).flat_map(move |ki| (0..seeds).map(move |s| (si, ki, s))))
-        .collect();
-    let flat: Vec<[(f64, f64); 3]> = par_map(&tasks, |&(si, ki, s)| {
-        let seed = s as u64;
-        let world = &worlds[ki * seeds + s];
-        let nodes = world.instance.cloud().compute_count();
-        let plan = availability_storm_profile(storm_counts[si], seed)
-            .generate_with_regions(&testbed_storm_regions(nodes));
-        availability_cells(world, &plan, seed, true)
-    });
+    let flat = world_sweep(
+        storm_counts.len(),
+        ks.len(),
+        seeds,
+        |ki| TestbedConfig::default().with_max_replicas(ks[ki]),
+        |si, world, seed| {
+            let nodes = world.instance.cloud().compute_count();
+            let plan = availability_storm_profile(storm_counts[si], seed)
+                .generate_with_regions(&testbed_storm_regions(nodes));
+            availability_cells(world, &plan, seed, true)
+        },
+    );
     let rows = storm_counts
         .iter()
         .zip(flat.chunks(ks.len() * seeds))
-        .map(|(&count, count_cells)| {
-            let mut results = Vec::with_capacity(ks.len() * AVAIL_ARMS.len());
-            for (&k, samples) in ks.iter().zip(count_cells.chunks(seeds)) {
-                for (ai, (label, _, _)) in AVAIL_ARMS.iter().enumerate() {
-                    results.push(AlgResult {
-                        name: format!("Appro-G K={k} {label}"),
-                        volume: Summary::of(&samples.iter().map(|s| s[ai].0).collect::<Vec<_>>()),
-                        throughput: Summary::of(
-                            &samples.iter().map(|s| s[ai].1).collect::<Vec<_>>(),
-                        ),
-                    });
-                }
-            }
-            FigureRow {
-                x: count as f64,
-                results,
-            }
+        .map(|(&count, cells)| FigureRow {
+            x: count as f64,
+            series: availability_series(&ks, seeds, cells),
         })
         .collect();
-    FigureData {
-        id: "ext-availability".to_owned(),
-        title: "Extension: availability under correlated region failure storms                 (x = storms per run; no repair vs p2p repair vs chunked repair;                 panel (b) column reports availability)"
-            .to_owned(),
-        x_label: "storms".to_owned(),
+    FigureData::new(
+        "ext-availability",
+        "Extension: availability under correlated region failure storms \
+         (x = storms per run; no repair vs p2p repair vs chunked repair per K)",
+        "storms",
+        &AVAILABILITY_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
 
 /// The redundancy arms [`ext_ec`] compares: the paper's `K = 3` full
@@ -642,6 +593,21 @@ fn ec_arms() -> [(&'static str, RedundancyScheme); 4] {
     ]
 }
 
+/// [`ext_ec`]'s metrics, in [`ec_cell`] order.
+const EC_METRICS: [Metric; 6] = [
+    VOLUME,
+    AVAILABILITY,
+    Metric::new("storage_gb", "storage footprint of the plan", "GB", 2),
+    Metric::new("mean_response_s", "mean query response time", "s", 3),
+    Metric::new("p95_response_s", "p95 query response time", "s", 3),
+    Metric::new(
+        "degraded_frac",
+        "degraded reads per query",
+        "reads/query",
+        3,
+    ),
+];
+
 /// Scrub cadence for the ext-ec cells: frequent enough that lost shards
 /// are detected and rebuilt within the testbed's ~150 s query horizon.
 const EC_SCRUB_INTERVAL_S: f64 = 20.0;
@@ -667,9 +633,8 @@ fn ec_world_cfg(scheme: RedundancyScheme) -> TestbedConfig {
     .with_redundancy(scheme)
 }
 
-/// One (scheme-world, fault-plan) ext-ec cell: `[measured volume,
-/// availability, storage GB, mean response s, p95 response s,
-/// degraded-read fraction]`. Runs over the chunked engine (degraded
+/// One (scheme-world, fault-plan) ext-ec cell, one value per
+/// [`EC_METRICS`] entry. Runs over the chunked engine (degraded
 /// reads fan shard gathers out through it) with the Background-tier
 /// shard scrubber on and controller repair off, so reconstruction
 /// traffic is the scrubber's alone.
@@ -703,35 +668,19 @@ fn ec_cell(
     ]
 }
 
-/// Folds the flat (x × arm × seed) ext-ec cube into figure rows. Each
-/// scheme contributes three columns: `(volume, availability)`,
-/// `(storage GB, mean response s)`, `(p95 response s, degraded-read
-/// fraction)` — the title documents the packing.
+/// Folds the flat (x × scheme × seed) ext-ec cube into figure rows, one
+/// series per scheme.
 fn ec_rows(xs: &[f64], seeds: usize, flat: &[[f64; 6]]) -> Vec<FigureRow> {
     let arms = ec_arms();
     xs.iter()
         .zip(flat.chunks(arms.len() * seeds))
-        .map(|(&x, x_cells)| {
-            let mut results = Vec::with_capacity(arms.len() * 3);
-            for ((label, _), samples) in arms.iter().zip(x_cells.chunks(seeds)) {
-                let col = |i: usize| -> Vec<f64> { samples.iter().map(|s| s[i]).collect() };
-                results.push(AlgResult {
-                    name: format!("Appro-G {label}"),
-                    volume: Summary::of(&col(0)),
-                    throughput: Summary::of(&col(1)),
-                });
-                results.push(AlgResult {
-                    name: format!("{label} storage/mean"),
-                    volume: Summary::of(&col(2)),
-                    throughput: Summary::of(&col(3)),
-                });
-                results.push(AlgResult {
-                    name: format!("{label} p95/degraded"),
-                    volume: Summary::of(&col(4)),
-                    throughput: Summary::of(&col(5)),
-                });
-            }
-            FigureRow { x, results }
+        .map(|(&x, x_cells)| FigureRow {
+            x,
+            series: arms
+                .iter()
+                .zip(x_cells.chunks(seeds))
+                .map(|((label, _), samples)| Series::of(format!("Appro-G {label}"), samples))
+                .collect(),
         })
         .collect()
 }
@@ -748,19 +697,17 @@ pub fn ext_ec(seeds: usize) -> FigureData {
     assert!(seeds >= 1);
     let fractions = [0.0f64, 0.1, 0.2, 0.4];
     let arms = ec_arms();
-    // Worlds depend only on (scheme, seed): built once and shared across
-    // the fault fractions exactly like the ext-availability grid.
-    let worlds = build_worlds(arms.len(), seeds, |ai| ec_world_cfg(arms[ai].1));
-    let tasks: Vec<(usize, usize, usize)> = (0..fractions.len())
-        .flat_map(|fi| (0..arms.len()).flat_map(move |ai| (0..seeds).map(move |s| (fi, ai, s))))
-        .collect();
-    let flat: Vec<[f64; 6]> = par_map(&tasks, |&(fi, ai, s)| {
-        let seed = s as u64;
-        let world = &worlds[ai * seeds + s];
-        let plan = availability_fault_profile(fractions[fi], seed)
-            .generate(world.instance.cloud().compute_count());
-        ec_cell(world, &plan, seed, false)
-    });
+    let flat = world_sweep(
+        fractions.len(),
+        arms.len(),
+        seeds,
+        |ai| ec_world_cfg(arms[ai].1),
+        |fi, world, seed| {
+            let plan = availability_fault_profile(fractions[fi], seed)
+                .generate(world.instance.cloud().compute_count());
+            ec_cell(world, &plan, seed, false)
+        },
+    );
     let rows = ec_rows(&fractions, seeds, &flat);
     // Trajectory sidecar: one seed-0 run per scheme at the harshest
     // fraction, sampled every 30 simulated seconds — availability dips at
@@ -787,17 +734,19 @@ pub fn ext_ec(seeds: usize) -> FigureData {
         Some(render_slo_csv(&series))
     };
     FigureData {
-        id: "ext-ec".to_owned(),
-        title: "Extension: erasure coding vs replication under transient faults                 (three columns per scheme — volume with availability in panel (b),                 storage GB with mean response s, p95 response s with degraded-read                 fraction)"
-            .to_owned(),
-        x_label: "fault fraction".to_owned(),
-        rows,
         timeseries,
+        ..FigureData::new(
+            "ext-ec",
+            "Extension: erasure coding vs replication under transient faults",
+            "fault fraction",
+            &EC_METRICS,
+            rows,
+        )
     }
 }
 
 /// [`ext_ec`] under correlated region failure storms (`repro ext-ec
-/// --storm`): x = storms per run, same scheme arms and column packing,
+/// --storm`): x = storms per run, same scheme arms and metrics,
 /// NIC contention on so shard gathers and scrub rebuilds are long enough
 /// for a storm to catch them mid-air. A storm takes a whole metro rack
 /// down at once — the case where replication's three full copies can all
@@ -806,40 +755,50 @@ pub fn ext_ec_storm(seeds: usize) -> FigureData {
     assert!(seeds >= 1);
     let storm_counts = [0usize, 1, 2];
     let arms = ec_arms();
-    let worlds = build_worlds(arms.len(), seeds, |ai| ec_world_cfg(arms[ai].1));
-    let tasks: Vec<(usize, usize, usize)> = (0..storm_counts.len())
-        .flat_map(|si| (0..arms.len()).flat_map(move |ai| (0..seeds).map(move |s| (si, ai, s))))
-        .collect();
-    let flat: Vec<[f64; 6]> = par_map(&tasks, |&(si, ai, s)| {
-        let seed = s as u64;
-        let world = &worlds[ai * seeds + s];
-        let nodes = world.instance.cloud().compute_count();
-        let plan = availability_storm_profile(storm_counts[si], seed)
-            .generate_with_regions(&testbed_storm_regions(nodes));
-        ec_cell(world, &plan, seed, true)
-    });
+    let flat = world_sweep(
+        storm_counts.len(),
+        arms.len(),
+        seeds,
+        |ai| ec_world_cfg(arms[ai].1),
+        |si, world, seed| {
+            let nodes = world.instance.cloud().compute_count();
+            let plan = availability_storm_profile(storm_counts[si], seed)
+                .generate_with_regions(&testbed_storm_regions(nodes));
+            ec_cell(world, &plan, seed, true)
+        },
+    );
     let xs: Vec<f64> = storm_counts.iter().map(|&c| c as f64).collect();
     let rows = ec_rows(&xs, seeds, &flat);
-    FigureData {
-        id: "ext-ec".to_owned(),
-        title: "Extension: erasure coding vs replication under correlated region                 failure storms (x = storms per run; three columns per scheme —                 volume with availability, storage GB with mean response s,                 p95 response s with degraded-read fraction)"
-            .to_owned(),
-        x_label: "storms".to_owned(),
+    FigureData::new(
+        "ext-ec",
+        "Extension: erasure coding vs replication under correlated region \
+         failure storms (x = storms per run)",
+        "storms",
+        &EC_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
 
-/// Rolling-operation sweep: volume per epoch under a drifting query
-/// hotspot, static placement vs periodic replanning (panel (b) reuses the
-/// throughput column for per-epoch migration GB normalized by the
-/// epoch-0 placement volume).
+/// [`ext_rolling`]'s metrics: admitted volume and migration per epoch.
+const ROLLING_METRICS: [Metric; 2] = [
+    VOLUME,
+    Metric::new(
+        "migration_gb",
+        "replicas newly materialised this epoch",
+        "GB",
+        2,
+    ),
+];
+
+/// Rolling-operation sweep: admitted volume and migration GB per epoch
+/// under a drifting query hotspot, static placement vs periodic
+/// replanning.
 pub fn ext_rolling(seeds: usize) -> FigureData {
     assert!(seeds >= 1);
     let epochs = 6usize;
     let seed_list: Vec<u64> = (0..seeds as u64).collect();
-    // For each seed, run both policies once and collect per-epoch series.
-    let runs: Vec<PolicyRuns> = par_map(&seed_list, |&seed| {
+    // For each seed, run both policies once: `runs[seed][epoch][policy]`.
+    let runs: Vec<Vec<[[f64; 2]; 2]>> = par_map(&seed_list, |&seed| {
         let cfg = RollingConfig {
             epochs,
             seed,
@@ -848,60 +807,48 @@ pub fn ext_rolling(seeds: usize) -> FigureData {
         let alg = ApproG::default();
         let fixed = run_rolling(&alg, &cfg, ReplanPolicy::Static);
         let periodic = run_rolling(&alg, &cfg, ReplanPolicy::Periodic);
-        let to_samples = |r: &edgerep_testbed::rolling::RollingReport| {
-            r.per_epoch
-                .iter()
-                .map(|e| EpochSample {
-                    volume: e.volume,
-                    migration: e.migration_gb,
-                })
-                .collect::<Vec<_>>()
-        };
-        (to_samples(&fixed), to_samples(&periodic))
+        let epoch = |e: &edgerep_testbed::rolling::EpochStats| [e.volume, e.migration_gb];
+        (fixed.per_epoch.iter().zip(&periodic.per_epoch))
+            .map(|(f, p)| [epoch(f), epoch(p)])
+            .collect()
     });
     let rows = (0..epochs)
         .map(|e| {
-            let stat = |pick: &dyn Fn(&PolicyRuns) -> EpochSample| {
-                let vols: Vec<f64> = runs.iter().map(|r| pick(r).volume).collect();
-                let migs: Vec<f64> = runs.iter().map(|r| pick(r).migration).collect();
-                (Summary::of(&vols), Summary::of(&migs))
-            };
-            let (fv, fm) = stat(&|r| r.0[e]);
-            let (pv, pm) = stat(&|r| r.1[e]);
+            let at_epoch: Vec<[[f64; 2]; 2]> = runs.iter().map(|r| r[e]).collect();
             FigureRow {
                 x: e as f64,
-                results: vec![
-                    AlgResult {
-                        name: "Static placement".to_owned(),
-                        volume: fv,
-                        throughput: fm,
-                    },
-                    AlgResult {
-                        name: "Periodic replan".to_owned(),
-                        volume: pv,
-                        throughput: pm,
-                    },
-                ],
+                series: Series::per_arm(["Static placement", "Periodic replan"], &at_epoch),
             }
         })
         .collect();
-    FigureData {
-        id: "ext-rolling".to_owned(),
-        title: "Extension: rolling operation under workload drift                 (panel (a) admitted volume per epoch; panel (b) column reports                 migration GB per epoch, not throughput)"
-            .to_owned(),
-        x_label: "epoch".to_owned(),
+    FigureData::new(
+        "ext-rolling",
+        "Extension: rolling operation under workload drift \
+         (static placement vs periodic replanning)",
+        "epoch",
+        &ROLLING_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
+
+/// [`ext_forecast`]'s metrics: admitted volume and transfer traffic.
+const FORECAST_METRICS: [Metric; 2] = [
+    VOLUME,
+    Metric::new(
+        "transfer_gb",
+        "transfer traffic (migration + prefetch)",
+        "GB",
+        2,
+    ),
+];
 
 /// Forecaster × drift-rate sweep: realized admitted volume and total
 /// transfer traffic over an 8-epoch rolling run, per replanning policy.
 ///
 /// The x-axis is the hotspot probability (0 = homes uniform, 0.9 = 90 %
 /// of queries cluster on the epoch's rotating group — the drift rate);
-/// panel (a) reports total admitted volume, panel (b) reuses the
-/// throughput column for total transfer GB (migration + prefetch).
+/// the metrics are total admitted volume and total transfer GB
+/// (migration + prefetch).
 /// `Periodic` is the replan-after-seeing-the-workload oracle; the
 /// predictive series show what each forecaster recovers of the gap
 /// between `Static` and that bound, and at what traffic cost. Forecast
@@ -932,7 +879,7 @@ pub fn ext_forecast(seeds: usize) -> FigureData {
     ];
     // One flat (drift × policy) × seed task list through the 2-D
     // scheduler (24 rows × seeds cells at the paper's 15 seeds = 360).
-    let cells: Vec<Vec<(f64, f64)>> = run_grid(drifts.len() * policies.len(), seeds, |ri, seed| {
+    let cells: Vec<Vec<[f64; 2]>> = run_grid(drifts.len() * policies.len(), seeds, |ri, seed| {
         let (di, pi) = (ri / policies.len(), ri % policies.len());
         let cfg = RollingConfig {
             epochs: 8,
@@ -941,30 +888,21 @@ pub fn ext_forecast(seeds: usize) -> FigureData {
             ..Default::default()
         };
         let report = run_rolling(&ApproG::default(), &cfg, policies[pi].1);
-        (
+        [
             report.total_volume,
             report.total_migration_gb + report.total_prefetch_gb,
-        )
+        ]
     });
     let rows = drifts
         .iter()
-        .enumerate()
-        .map(|(di, &drift)| {
-            let results = policies
+        .zip(cells.chunks(policies.len()))
+        .map(|(&x, drift_cells)| FigureRow {
+            x,
+            series: policies
                 .iter()
-                .enumerate()
-                .map(|(pi, (name, _))| {
-                    let samples = &cells[di * policies.len() + pi];
-                    let vols: Vec<f64> = samples.iter().map(|s| s.0).collect();
-                    let traffic: Vec<f64> = samples.iter().map(|s| s.1).collect();
-                    AlgResult {
-                        name: (*name).to_owned(),
-                        volume: Summary::of(&vols),
-                        throughput: Summary::of(&traffic),
-                    }
-                })
-                .collect();
-            FigureRow { x: drift, results }
+                .zip(drift_cells)
+                .map(|((name, _), samples)| Series::of(*name, samples))
+                .collect(),
         })
         .collect();
     // Trajectory sidecar: seed-0 per-epoch SLO series for every policy at
@@ -982,28 +920,35 @@ pub fn ext_forecast(seeds: usize) -> FigureData {
     });
     let timeseries = Some(render_slo_csv(&series));
     FigureData {
-        id: "ext-forecast".to_owned(),
-        title: "Extension: predictive prefetching vs drift rate                 (panel (a) total admitted volume over 8 epochs; panel (b) column                 reports total transfer GB — migration + prefetch — not throughput)"
-            .to_owned(),
-        x_label: "hotspot probability".to_owned(),
-        rows,
         timeseries,
+        ..FigureData::new(
+            "ext-forecast",
+            "Extension: predictive prefetching vs drift rate (totals over 8 epochs)",
+            "hotspot probability",
+            &FORECAST_METRICS,
+            rows,
+        )
     }
 }
 
 /// Region counts swept by [`ext_shard`].
 pub const SHARD_REGIONS: [usize; 4] = [1, 2, 4, 8];
 
+/// [`ext_shard`]'s metrics, in the order of its per-seed rows.
+const SHARD_METRICS: [Metric; 4] = [
+    VOLUME,
+    Metric::new("solve_ms", "solve wall-clock time", "ms", 3),
+    Metric::new("gap_pct", "admitted-volume gap to global Appro-G", "%", 2),
+    Metric::new("speedup", "solve speedup over global Appro-G", "×", 3),
+];
+
 /// Sharded-solver scaling study: solve wall-clock and net-benefit gap vs
 /// the number of regions R on a scaled-up generator world.
 ///
-/// Per row (R), two packed series:
-/// * `"sharded Appro-G"` — admitted volume in the volume panel, solve
-///   time in **milliseconds** in the throughput panel;
-/// * `"vs global (gap % | speedup x)"` — the net-benefit gap
-///   `100 · (global − sharded) / global` admitted volume in the volume
-///   panel, wall-clock speedup `t_global / t_sharded` in the throughput
-///   panel.
+/// One series, `"sharded Appro-G"`, reports per row (R) the admitted
+/// volume, the solve time in milliseconds, the gap
+/// `100 · (global − sharded) / global` admitted volume, and the
+/// wall-clock speedup `t_global / t_sharded`.
 ///
 /// The R = 1 row *is* the global `Appro-G` baseline (the sharded wrapper
 /// delegates verbatim), so its gap is exactly 0 and its speedup exactly 1.
@@ -1019,7 +964,9 @@ pub fn ext_shard(seeds: usize) -> FigureData {
     // Scaled world: hundreds of queries per instance on a 64-node metro —
     // large enough that the solver's quadratic term dominates and sharding
     // pays, small enough for a --quick CI smoke.
-    let params = WorkloadParams::default().with_network_size(64).with_scale(8);
+    let params = WorkloadParams::default()
+        .with_network_size(64)
+        .with_scale(8);
     let instances: Vec<_> = (0..seeds)
         .map(|s| generate_instance(&params, s as u64))
         .collect();
@@ -1034,10 +981,7 @@ pub fn ext_shard(seeds: usize) -> FigureData {
         .collect();
     let mut rows = Vec::new();
     for &regions in &SHARD_REGIONS {
-        let mut volumes = Vec::with_capacity(seeds);
-        let mut solve_ms = Vec::with_capacity(seeds);
-        let mut gaps = Vec::with_capacity(seeds);
-        let mut speedups = Vec::with_capacity(seeds);
+        let mut per_seed = Vec::with_capacity(seeds);
         for (inst, &(global_volume, global_secs)) in instances.iter().zip(&globals) {
             let (volume, secs) = if regions <= 1 {
                 (global_volume, global_secs)
@@ -1056,74 +1000,57 @@ pub fn ext_shard(seeds: usize) -> FigureData {
                     .expect("reconciled sharded solutions stay feasibility-clean");
                 (sol.admitted_volume(inst), secs)
             };
-            volumes.push(volume);
-            solve_ms.push(secs * 1e3);
-            gaps.push(if global_volume > 0.0 {
+            let gap = if global_volume > 0.0 {
                 (global_volume - volume) / global_volume * 100.0
             } else {
                 0.0
-            });
-            speedups.push(if secs > 0.0 { global_secs / secs } else { 1.0 });
+            };
+            let speedup = if secs > 0.0 { global_secs / secs } else { 1.0 };
+            per_seed.push([volume, secs * 1e3, gap, speedup]);
         }
         rows.push(FigureRow {
             x: regions as f64,
-            results: vec![
-                AlgResult {
-                    name: "sharded Appro-G".into(),
-                    volume: Summary::of(&volumes),
-                    throughput: Summary::of(&solve_ms),
-                },
-                AlgResult {
-                    name: "vs global (gap % | speedup x)".into(),
-                    volume: Summary::of(&gaps),
-                    throughput: Summary::of(&speedups),
-                },
-            ],
+            series: vec![Series::of("sharded Appro-G", per_seed)],
         });
     }
-    FigureData {
-        id: "ext-shard".into(),
-        title: "Sharded regional solve: wall-clock and net-benefit gap vs R \
-                (panel (a): admitted GB / gap %; panel (b): solve ms / speedup x)"
-            .into(),
-        x_label: "regions R".into(),
+    FigureData::new(
+        "ext-shard",
+        "Extension: sharded regional solve vs the global Appro-G solve \
+         (R = 1 is the global solve)",
+        "regions R",
+        &SHARD_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
-
-#[derive(Clone, Copy)]
-struct EpochSample {
-    volume: f64,
-    migration: f64,
-}
-
-/// One seed's per-epoch series for both rolling policies (static, periodic).
-type PolicyRuns = (Vec<EpochSample>, Vec<EpochSample>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::check_schema;
 
     #[test]
     fn net_benefit_rows_cover_k_and_gammas() {
         let fig = ext_net_benefit(1);
+        check_schema(&fig).unwrap();
+        let net = fig.metric("net_benefit");
         assert_eq!(fig.rows.len(), 7);
         for row in &fig.rows {
-            assert_eq!(row.results.len(), GAMMA_VALUES.len());
+            assert_eq!(row.series.len(), GAMMA_VALUES.len());
             // γ = 0 net benefit equals the measured volume: >= the γ = 2
             // series at the same K.
-            assert!(row.results[0].volume.mean >= row.results[2].volume.mean - 1e-9);
+            assert!(row.series[0].values[net].mean >= row.series[2].values[net].mean - 1e-9);
         }
     }
 
     #[test]
     fn refinement_never_hurts() {
         let fig = ext_refine(2);
+        check_schema(&fig).unwrap();
+        let vol = fig.metric("volume");
         let row = &fig.rows[0];
-        for pair in row.results.chunks(2) {
+        for pair in row.series.chunks(2) {
             assert!(
-                pair[1].volume.mean >= pair[0].volume.mean - 1e-9,
+                pair[1].values[vol].mean >= pair[0].values[vol].mean - 1e-9,
                 "refinement lost volume for {}",
                 pair[0].name
             );
@@ -1133,10 +1060,12 @@ mod tests {
     #[test]
     fn topology_robustness_preserves_ordering() {
         let fig = ext_topology(3);
+        check_schema(&fig).unwrap();
+        let vol = fig.metric("volume");
         for row in &fig.rows {
-            let appro = row.results[0].volume.mean;
-            let greedy = row.results[1].volume.mean;
-            let graph = row.results[2].volume.mean;
+            let appro = row.series[0].values[vol].mean;
+            let greedy = row.series[1].values[vol].mean;
+            let graph = row.series[2].values[vol].mean;
             assert!(appro > greedy, "x={}: ordering broken", row.x);
             assert!(appro > graph, "x={}: ordering broken", row.x);
         }
@@ -1145,15 +1074,17 @@ mod tests {
     #[test]
     fn faults_extension_gap_closes_with_k() {
         let fig = ext_faults(3);
+        check_schema(&fig).unwrap();
+        let vol = fig.metric("volume");
         for row in &fig.rows {
-            let clean = row.results[0].volume.mean;
-            let faulty = row.results[1].volume.mean;
+            let clean = row.series[0].values[vol].mean;
+            let faulty = row.series[1].values[vol].mean;
             assert!(faulty <= clean + 1e-9, "K={}: fault helped?!", row.x);
         }
         // Relative damage at K = 1 exceeds damage at K = 5.
         let damage = |row: &FigureRow| {
-            let clean = row.results[0].volume.mean.max(1e-9);
-            1.0 - row.results[1].volume.mean / clean
+            let clean = row.series[0].values[vol].mean.max(1e-9);
+            1.0 - row.series[1].values[vol].mean / clean
         };
         assert!(
             damage(&fig.rows[0]) >= damage(&fig.rows[fig.rows.len() - 1]) - 0.05,
@@ -1164,23 +1095,25 @@ mod tests {
     #[test]
     fn availability_extension_zero_faults_makes_repair_a_noop() {
         let fig = ext_availability(1);
+        check_schema(&fig).unwrap();
+        let (vol, avail) = (fig.metric("volume"), fig.metric("availability"));
         assert_eq!(fig.rows.len(), 4);
         let clean = &fig.rows[0]; // fraction 0.0
-        assert_eq!(clean.results.len(), 12); // K ∈ {1..4} × three arms
-        for arms in clean.results.chunks(3) {
+        assert_eq!(clean.series.len(), 12); // K ∈ {1..4} × three arms
+        for arms in clean.series.chunks(3) {
             // Without faults all three arms are byte-identical: repair is
             // inert, and the chunked engine coalesces to the same
             // point-to-point physics (the sim pins this bitwise too).
             assert_eq!(
-                arms[0].volume.mean, arms[1].volume.mean,
+                arms[0].values[vol].mean, arms[1].values[vol].mean,
                 "repair must be inert without faults"
             );
             assert_eq!(
-                arms[1].volume.mean, arms[2].volume.mean,
+                arms[1].values[vol].mean, arms[2].values[vol].mean,
                 "chunked transfers must match p2p without faults"
             );
             for arm in arms {
-                assert_eq!(arm.throughput.mean, 1.0, "no faults, full availability");
+                assert_eq!(arm.values[avail].mean, 1.0, "no faults, full availability");
             }
         }
         // The trajectory sidecar carries all three arms as labeled,
@@ -1198,18 +1131,20 @@ mod tests {
     #[test]
     fn availability_storm_rows_are_coherent() {
         let fig = ext_availability_storm(1);
+        check_schema(&fig).unwrap();
+        let avail = fig.metric("availability");
         assert_eq!(fig.rows.len(), 3);
         assert_eq!(fig.x_label, "storms");
         for (row, &storms) in fig.rows.iter().zip(&[0.0f64, 1.0, 2.0]) {
             assert_eq!(row.x, storms);
-            assert_eq!(row.results.len(), 12); // K ∈ {1..4} × three arms
-            for arms in row.results.chunks(3) {
+            assert_eq!(row.series.len(), 12); // K ∈ {1..4} × three arms
+            for arms in row.series.chunks(3) {
                 assert!(arms[0].name.contains("no-repair"));
                 assert!(arms[1].name.ends_with(" repair"));
                 assert!(arms[2].name.ends_with("repair+chunked"));
                 for arm in arms {
                     assert!(
-                        (0.0..=1.0).contains(&arm.throughput.mean),
+                        (0.0..=1.0).contains(&arm.values[avail].mean),
                         "{}: availability out of range",
                         arm.name
                     );
@@ -1220,11 +1155,11 @@ mod tests {
         // the background noise cannot beat the storm-free row per arm.
         for ai in 0..3 {
             let sum = |row: &FigureRow| -> f64 {
-                row.results
+                row.series
                     .iter()
                     .skip(ai)
                     .step_by(3)
-                    .map(|a| a.throughput.mean)
+                    .map(|a| a.values[avail].mean)
                     .sum()
             };
             let calm = sum(&fig.rows[0]);
@@ -1244,6 +1179,8 @@ mod tests {
         // (aggregated over K ∈ {2, 3, 4} so one quiet seed cannot mask
         // the effect).
         let fig = ext_availability(2);
+        check_schema(&fig).unwrap();
+        let (vol, avail) = (fig.metric("volume"), fig.metric("availability"));
         let row = &fig.rows[1]; // fraction 0.1
         assert!((row.x - 0.1).abs() < 1e-12);
         let mut off_sum = 0.0;
@@ -1252,18 +1189,18 @@ mod tests {
         let mut off_avail = 0.0;
         let mut on_avail = 0.0;
         let mut chunked_avail = 0.0;
-        for arms in row.results.chunks(3).skip(1) {
+        for arms in row.series.chunks(3).skip(1) {
             // arms are (no-repair, repair, repair+chunked) per K;
             // skip(1) drops K = 1.
             assert!(arms[0].name.contains("no-repair"));
             assert!(arms[1].name.ends_with(" repair"));
             assert!(arms[2].name.ends_with("repair+chunked"));
-            off_sum += arms[0].volume.mean;
-            on_sum += arms[1].volume.mean;
-            chunked_sum += arms[2].volume.mean;
-            off_avail += arms[0].throughput.mean;
-            on_avail += arms[1].throughput.mean;
-            chunked_avail += arms[2].throughput.mean;
+            off_sum += arms[0].values[vol].mean;
+            on_sum += arms[1].values[vol].mean;
+            chunked_sum += arms[2].values[vol].mean;
+            off_avail += arms[0].values[avail].mean;
+            on_avail += arms[1].values[avail].mean;
+            chunked_avail += arms[2].values[avail].mean;
         }
         assert!(
             on_sum > off_sum,
@@ -1298,17 +1235,19 @@ mod tests {
             link_faults: Vec::new(),
         };
         let fig = ext_availability_with_plan(1, &plan);
+        check_schema(&fig).unwrap();
+        let (vol, avail) = (fig.metric("volume"), fig.metric("availability"));
         assert_eq!(fig.rows.len(), 4);
         let (mut off_volume, mut on_volume) = (0.0, 0.0);
         for row in &fig.rows {
-            assert_eq!(row.results.len(), 3);
-            off_volume += row.results[0].volume.mean;
-            on_volume += row.results[1].volume.mean;
+            assert_eq!(row.series.len(), 3);
+            off_volume += row.series[0].values[vol].mean;
+            on_volume += row.series[1].values[vol].mean;
             // Repair never loses more queries to the outage than no
             // repair does (losses happen at the down-transition, before
             // the two arms can diverge).
             assert!(
-                row.results[1].throughput.mean >= row.results[0].throughput.mean - 1e-9,
+                row.series[1].values[avail].mean >= row.series[0].values[avail].mean - 1e-9,
                 "repair lowered availability at K={}",
                 row.x
             );
@@ -1325,32 +1264,36 @@ mod tests {
     #[test]
     fn rolling_extension_shapes() {
         let fig = ext_rolling(2);
+        check_schema(&fig).unwrap();
+        let (vol, migration) = (fig.metric("volume"), fig.metric("migration_gb"));
         assert_eq!(fig.rows.len(), 6);
         // Epoch 0 identical across policies.
         let r0 = &fig.rows[0];
-        assert!((r0.results[0].volume.mean - r0.results[1].volume.mean).abs() < 1e-9);
+        assert!((r0.series[0].values[vol].mean - r0.series[1].values[vol].mean).abs() < 1e-9);
         // Static placement never migrates after epoch 0.
         for row in fig.rows.iter().skip(1) {
-            assert_eq!(row.results[0].throughput.mean, 0.0);
+            assert_eq!(row.series[0].values[migration].mean, 0.0);
         }
     }
 
     #[test]
     fn forecast_extension_shapes() {
         let fig = ext_forecast(1);
+        check_schema(&fig).unwrap();
+        let (vol, transfer) = (fig.metric("volume"), fig.metric("transfer_gb"));
         assert_eq!(fig.rows.len(), 4);
         for row in &fig.rows {
-            assert_eq!(row.results.len(), 6);
-            for r in &row.results {
-                assert!(r.volume.mean > 0.0, "{} admitted nothing", r.name);
-                assert!(r.throughput.mean >= 0.0);
+            assert_eq!(row.series.len(), 6);
+            for r in &row.series {
+                assert!(r.values[vol].mean > 0.0, "{} admitted nothing", r.name);
+                assert!(r.values[transfer].mean >= 0.0);
             }
             // Static never pays transfer traffic after its one placement;
             // every replanning/prefetching policy pays at least as much.
-            let static_traffic = row.results[0].throughput.mean;
-            for r in &row.results[1..] {
+            let static_traffic = row.series[0].values[transfer].mean;
+            for r in &row.series[1..] {
                 assert!(
-                    r.throughput.mean >= static_traffic - 1e-9,
+                    r.values[transfer].mean >= static_traffic - 1e-9,
                     "{} moved less than Static at drift {}",
                     r.name,
                     row.x
@@ -1377,26 +1320,30 @@ mod tests {
     #[test]
     fn ec_extension_trades_storage_for_admission() {
         let fig = ext_ec(1);
+        check_schema(&fig).unwrap();
+        let vol = fig.metric("volume");
+        let storage = fig.metric("storage_gb");
+        let (avail, degraded) = (fig.metric("availability"), fig.metric("degraded_frac"));
         assert_eq!(fig.rows.len(), 4);
         assert_eq!(fig.x_label, "fault fraction");
         let clean = &fig.rows[0]; // fraction 0.0
-        assert_eq!(clean.results.len(), 12); // 4 schemes × 3 columns
-        for cols in clean.results.chunks(3) {
+        assert_eq!(clean.series.len(), 4); // one series per scheme
+        for scheme in &clean.series {
             assert_eq!(
-                cols[0].throughput.mean, 1.0,
+                scheme.values[avail].mean, 1.0,
                 "{}: no faults, full availability",
-                cols[0].name
+                scheme.name
             );
             assert_eq!(
-                cols[2].throughput.mean, 0.0,
+                scheme.values[degraded].mean, 0.0,
                 "{}: no faults, no degraded reads",
-                cols[2].name
+                scheme.name
             );
         }
         // The tentpole tradeoff: at least one EC striping admits at least
         // Replication(3)'s volume while storing strictly less.
-        let vol = |i: usize| clean.results[i * 3].volume.mean;
-        let storage = |i: usize| clean.results[i * 3 + 1].volume.mean;
+        let vol = |i: usize| clean.series[i].values[vol].mean;
+        let storage = |i: usize| clean.series[i].values[storage].mean;
         assert!(
             (1..4).any(|i| vol(i) >= vol(0) - 1e-9 && storage(i) < storage(0) - 1e-9),
             "no EC arm admitted >= Replication(3)'s volume at lower storage \
@@ -1418,23 +1365,30 @@ mod tests {
     #[test]
     fn ec_storm_rows_are_coherent() {
         let fig = ext_ec_storm(1);
+        check_schema(&fig).unwrap();
+        let (avail, degraded) = (fig.metric("availability"), fig.metric("degraded_frac"));
+        let storage = fig.metric("storage_gb");
         assert_eq!(fig.rows.len(), 3);
         assert_eq!(fig.x_label, "storms");
         for (row, &storms) in fig.rows.iter().zip(&[0.0f64, 1.0, 2.0]) {
             assert_eq!(row.x, storms);
-            assert_eq!(row.results.len(), 12);
-            for cols in row.results.chunks(3) {
+            assert_eq!(row.series.len(), 4);
+            for scheme in &row.series {
                 assert!(
-                    (0.0..=1.0).contains(&cols[0].throughput.mean),
+                    (0.0..=1.0).contains(&scheme.values[avail].mean),
                     "{}: availability out of range",
-                    cols[0].name
+                    scheme.name
                 );
                 assert!(
-                    (0.0..=1.0).contains(&cols[2].throughput.mean),
+                    (0.0..=1.0).contains(&scheme.values[degraded].mean),
                     "{}: degraded-read fraction out of range",
-                    cols[2].name
+                    scheme.name
                 );
-                assert!(cols[1].volume.mean > 0.0, "{}: empty plan", cols[1].name);
+                assert!(
+                    scheme.values[storage].mean > 0.0,
+                    "{}: empty plan",
+                    scheme.name
+                );
             }
         }
     }
@@ -1454,35 +1408,42 @@ mod tests {
     #[test]
     fn shard_rows_are_coherent() {
         let fig = ext_shard(1);
+        check_schema(&fig).unwrap();
+        let (vol, solve_ms) = (fig.metric("volume"), fig.metric("solve_ms"));
+        let (gap, speedup) = (fig.metric("gap_pct"), fig.metric("speedup"));
         assert_eq!(fig.rows.len(), SHARD_REGIONS.len());
         for (row, &r) in fig.rows.iter().zip(&SHARD_REGIONS) {
             assert_eq!(row.x, r as f64);
-            assert_eq!(row.results.len(), 2);
-            let sharded = &row.results[0];
-            let gap = &row.results[1];
-            assert!(sharded.volume.mean > 0.0, "R={r}: nothing admitted");
-            assert!(sharded.throughput.mean > 0.0, "R={r}: zero solve time");
+            assert_eq!(row.series.len(), 1);
+            let sharded = &row.series[0];
+            assert!(sharded.values[vol].mean > 0.0, "R={r}: nothing admitted");
             assert!(
-                gap.volume.mean <= 100.0 + 1e-9,
+                sharded.values[solve_ms].mean > 0.0,
+                "R={r}: zero solve time"
+            );
+            assert!(
+                sharded.values[gap].mean <= 100.0 + 1e-9,
                 "R={r}: gap above 100%"
             );
         }
         // The R = 1 row is the global baseline itself: gap exactly 0,
         // speedup exactly 1.
-        assert_eq!(fig.rows[0].results[1].volume.mean, 0.0);
-        assert_eq!(fig.rows[0].results[1].throughput.mean, 1.0);
+        assert_eq!(fig.rows[0].series[0].values[gap].mean, 0.0);
+        assert_eq!(fig.rows[0].series[0].values[speedup].mean, 1.0);
     }
 
     #[test]
     fn online_extension_shapes() {
         let fig = ext_online(2);
+        check_schema(&fig).unwrap();
+        let vol = fig.metric("volume");
         assert_eq!(fig.rows.len(), 5);
         for row in &fig.rows {
             // The offline reference is threshold-independent.
-            let offline = row.results[1].volume.mean;
-            assert!((offline - fig.rows[0].results[1].volume.mean).abs() < 1e-9);
+            let offline = row.series[1].values[vol].mean;
+            assert!((offline - fig.rows[0].series[1].values[vol].mean).abs() < 1e-9);
             // Online never exceeds offline by more than noise on means.
-            assert!(row.results[0].volume.mean <= offline * 1.05 + 1e-9);
+            assert!(row.series[0].values[vol].mean <= offline * 1.05 + 1e-9);
         }
     }
 }

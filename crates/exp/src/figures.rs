@@ -1,15 +1,17 @@
-//! Per-figure drivers.
+//! Per-figure drivers and the figure schema.
 //!
 //! Each `figN` function regenerates the data behind one figure of the
-//! paper (both panels — (a) admitted volume and (b) system throughput —
-//! come back in the same [`FigureData`]). Figures 1 and 6 are topology
-//! illustrations; [`fig1_text`] and [`fig6_text`] render them as ASCII.
+//! paper as a [`FigureData`] that declares the metrics it reports — for
+//! Figs. 2–5, 7 and 8 the paper's two panels, [`VOLUME`] and
+//! [`THROUGHPUT`]. Figures 1 and 6 are topology illustrations;
+//! [`fig1_text`] and [`fig6_text`] render them as ASCII.
 
 use edgerep_core::BoxedAlgorithm;
 use edgerep_testbed::{SimConfig, TestbedConfig};
-use edgerep_workload::presets;
+use edgerep_workload::{presets, WorkloadParams};
 
-use crate::runner::{run_simulation_point, run_testbed_point, AlgResult};
+use crate::runner::{run_simulation_point, run_testbed_point};
+use crate::stats::Summary;
 
 /// Every paper figure id, in figure order — the `repro all` set. Figures
 /// 1 and 6 are topology illustrations; the rest carry data.
@@ -17,16 +19,108 @@ pub const FIGURE_IDS: [&str; 8] = [
     "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 ];
 
+/// One quantity a figure reports. The renderers draw one panel (text),
+/// one column triple (CSV) and one chart (SVG) per declared metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Metric {
+    /// Machine name: CSV column prefix, markdown header, SVG file suffix.
+    pub key: &'static str,
+    /// Human description, the panel heading and SVG axis label.
+    pub label: &'static str,
+    /// Unit the values are in, shown as `label [unit]`.
+    pub unit: &'static str,
+    /// Decimals of the `mean ± ci95` table cells.
+    pub decimals: usize,
+}
+
+impl Metric {
+    /// The metric `key`, shown as `label [unit]` at `decimals` places.
+    pub const fn new(
+        key: &'static str,
+        label: &'static str,
+        unit: &'static str,
+        decimals: usize,
+    ) -> Self {
+        Self {
+            key,
+            label,
+            unit,
+            decimals,
+        }
+    }
+}
+
+/// Panel (a) of the paper's figures: admitted volume.
+pub const VOLUME: Metric = Metric::new(
+    "volume",
+    "volume of datasets demanded by admitted queries",
+    "GB",
+    2,
+);
+
+/// Panel (b) of the paper's figures: system throughput.
+pub const THROUGHPUT: Metric = Metric::new("throughput", "system throughput", "admitted/total", 3);
+
+/// The paper's two panels, in order: the metrics of every series the
+/// [`crate::runner`] points return.
+pub const PAPER_METRICS: [Metric; 2] = [VOLUME, THROUGHPUT];
+
+/// One series (an algorithm or policy) at one figure point: a summary
+/// per metric the figure declares, in declaration order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Series {
+    /// Display name (e.g. `"Appro-G"`).
+    pub name: String,
+    /// One summary per declared metric.
+    pub values: Vec<Summary>,
+}
+
+impl Series {
+    /// Summarises per-seed metric rows — `per_seed[seed][metric]` — into
+    /// one series: a [`Summary`] per metric over the seed axis.
+    pub fn of<R: AsRef<[f64]>>(
+        name: impl Into<String>,
+        per_seed: impl IntoIterator<Item = R>,
+    ) -> Self {
+        let rows: Vec<R> = per_seed.into_iter().collect();
+        let width = rows.first().map_or(0, |r| r.as_ref().len());
+        let values = (0..width)
+            .map(|m| Summary::of(&rows.iter().map(|r| r.as_ref()[m]).collect::<Vec<_>>()))
+            .collect();
+        Self {
+            name: name.into(),
+            values,
+        }
+    }
+
+    /// One series per arm from per-seed cells `per_seed[seed][arm]`,
+    /// each cell a row of metric values, named in arm order.
+    pub fn per_arm<C, R>(
+        names: impl IntoIterator<Item = impl Into<String>>,
+        per_seed: &[C],
+    ) -> Vec<Self>
+    where
+        C: AsRef<[R]>,
+        R: AsRef<[f64]> + Copy,
+    {
+        names
+            .into_iter()
+            .enumerate()
+            .map(|(ai, name)| Self::of(name, per_seed.iter().map(|c| c.as_ref()[ai])))
+            .collect()
+    }
+}
+
 /// One x-axis point of a figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureRow {
     /// The swept parameter value (network size, `F`, or `K`).
     pub x: f64,
-    /// Per-algorithm results at this point.
-    pub results: Vec<AlgResult>,
+    /// Per-series results at this point.
+    pub series: Vec<Series>,
 }
 
-/// A regenerated figure: id, axis labels, and all rows.
+/// A regenerated figure: id, axis labels, declared metrics and all rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureData {
     /// Paper figure id, e.g. `"fig2"`.
@@ -35,6 +129,8 @@ pub struct FigureData {
     pub title: String,
     /// X-axis label.
     pub x_label: String,
+    /// The metrics every series reports, in order.
+    pub metrics: &'static [Metric],
     /// Rows in x order.
     pub rows: Vec<FigureRow>,
     /// Optional SLO trajectory sidecar (rendered
@@ -45,99 +141,113 @@ pub struct FigureData {
     pub timeseries: Option<String>,
 }
 
+impl FigureData {
+    /// A figure with no timeseries sidecar.
+    pub fn new(
+        id: &str,
+        title: &str,
+        x_label: &str,
+        metrics: &'static [Metric],
+        rows: Vec<FigureRow>,
+    ) -> Self {
+        Self {
+            id: id.to_owned(),
+            title: title.to_owned(),
+            x_label: x_label.to_owned(),
+            metrics,
+            rows,
+            timeseries: None,
+        }
+    }
+
+    /// Position of metric `key` in [`FigureData::metrics`].
+    ///
+    /// # Panics
+    /// Panics if the figure does not declare `key`.
+    pub fn metric(&self, key: &str) -> usize {
+        self.metrics
+            .iter()
+            .position(|m| m.key == key)
+            .unwrap_or_else(|| panic!("{} declares no metric {key:?}", self.id))
+    }
+}
+
 /// Fig. 2: Appro-S vs Greedy-S vs Graph-S over network size (special
 /// case: one dataset per query).
 pub fn fig2(seeds: usize) -> FigureData {
-    sweep_network_sizes(
+    simulation_figure(
         "fig2",
         "Appro-S vs Greedy-S vs Graph-S (single-dataset queries)",
+        "network size",
+        &presets::NETWORK_SIZES,
         seeds,
-        true,
+        |n| (presets::fig2_special_case(n), edgerep_core::special_panel()),
     )
 }
 
 /// Fig. 3: Appro-G vs Greedy-G vs Graph-G over network size (general
 /// case: multi-dataset queries).
 pub fn fig3(seeds: usize) -> FigureData {
-    sweep_network_sizes(
+    simulation_figure(
         "fig3",
         "Appro-G vs Greedy-G vs Graph-G (multi-dataset queries)",
+        "network size",
+        &presets::NETWORK_SIZES,
         seeds,
-        false,
+        |n| {
+            (
+                presets::fig3_general_case(n),
+                edgerep_core::simulation_panel(),
+            )
+        },
     )
-}
-
-fn sweep_network_sizes(id: &str, title: &str, seeds: usize, special: bool) -> FigureData {
-    let rows = presets::NETWORK_SIZES
-        .iter()
-        .map(|&n| {
-            let params = if special {
-                presets::fig2_special_case(n)
-            } else {
-                presets::fig3_general_case(n)
-            };
-            let panel = if special {
-                edgerep_core::special_panel()
-            } else {
-                edgerep_core::simulation_panel()
-            };
-            FigureRow {
-                x: n as f64,
-                results: run_simulation_point(&params, &panel, seeds),
-            }
-        })
-        .collect();
-    FigureData {
-        id: id.to_owned(),
-        title: title.to_owned(),
-        x_label: "network size".to_owned(),
-        rows,
-        timeseries: None,
-    }
 }
 
 /// Fig. 4: impact of the max number `F` of datasets demanded per query.
 pub fn fig4(seeds: usize) -> FigureData {
-    let rows = presets::F_VALUES
-        .iter()
-        .map(|&f| FigureRow {
-            x: f as f64,
-            results: run_simulation_point(
-                &presets::fig4_vary_f(f),
-                &edgerep_core::simulation_panel(),
-                seeds,
-            ),
-        })
-        .collect();
-    FigureData {
-        id: "fig4".to_owned(),
-        title: "Impact of max datasets per query F (Appro-G vs Greedy-G vs Graph-G)".to_owned(),
-        x_label: "F".to_owned(),
-        rows,
-        timeseries: None,
-    }
+    simulation_figure(
+        "fig4",
+        "Impact of max datasets per query F (Appro-G vs Greedy-G vs Graph-G)",
+        "F",
+        &presets::F_VALUES,
+        seeds,
+        |f| (presets::fig4_vary_f(f), edgerep_core::simulation_panel()),
+    )
 }
 
 /// Fig. 5: impact of the max number `K` of replicas per dataset.
 pub fn fig5(seeds: usize) -> FigureData {
-    let rows = presets::K_VALUES
+    simulation_figure(
+        "fig5",
+        "Impact of max replicas K (Appro-G vs Greedy-G vs Graph-G)",
+        "K",
+        &presets::K_VALUES,
+        seeds,
+        |k| (presets::fig5_vary_k(k), edgerep_core::simulation_panel()),
+    )
+}
+
+/// A simulation figure over the paper's two panels: at each `x`, the
+/// algorithms and workload `point(x)` names, over `seeds` instances.
+pub(crate) fn simulation_figure(
+    id: &str,
+    title: &str,
+    x_label: &str,
+    xs: &[usize],
+    seeds: usize,
+    point: impl Fn(usize) -> (WorkloadParams, Vec<BoxedAlgorithm>),
+) -> FigureData {
+    let rows = xs
         .iter()
-        .map(|&k| FigureRow {
-            x: k as f64,
-            results: run_simulation_point(
-                &presets::fig5_vary_k(k),
-                &edgerep_core::simulation_panel(),
-                seeds,
-            ),
+        .map(|&x| {
+            let (params, panel) = point(x);
+            FigureRow {
+                x: x as f64,
+                series: run_simulation_point(&params, &panel, seeds),
+            }
         })
         .collect();
-    FigureData {
-        id: "fig5".to_owned(),
-        title: "Impact of max replicas K (Appro-G vs Greedy-G vs Graph-G)".to_owned(),
-        x_label: "K".to_owned(),
-        rows,
-        timeseries: None,
-    }
+    FigureData::new(id, title, x_label, &PAPER_METRICS, rows)
 }
 
 /// The testbed panel of Fig. 7: Appro-S vs Popularity-S.
@@ -168,26 +278,26 @@ pub fn fig7(seeds: usize) -> FigureData {
             } else {
                 testbed_general_panel()
             };
-            let mut results = run_testbed_point(&cfg, &panel, seeds, &SimConfig::default());
+            let mut series = run_testbed_point(&cfg, &panel, seeds, &SimConfig::default());
             // The panel switches from the -S to the -G algorithms at
             // F > 1; the figure's series are conceptually "Appro" vs
             // "Popularity", so normalize the names or the table header
             // (taken from row 0) would mislabel later rows.
-            results[0].name = "Appro".to_owned();
-            results[1].name = "Popularity".to_owned();
+            series[0].name = "Appro".to_owned();
+            series[1].name = "Popularity".to_owned();
             FigureRow {
                 x: f as f64,
-                results,
+                series,
             }
         })
         .collect();
-    FigureData {
-        id: "fig7".to_owned(),
-        title: "Testbed: Appro vs Popularity over F (measured)".to_owned(),
-        x_label: "F".to_owned(),
+    FigureData::new(
+        "fig7",
+        "Testbed: Appro vs Popularity over F (measured)",
+        "F",
+        &PAPER_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
 
 /// Fig. 8: testbed, `K` sweep, Appro-G vs Popularity-G.
@@ -198,7 +308,7 @@ pub fn fig8(seeds: usize) -> FigureData {
             let cfg = TestbedConfig::default().with_max_replicas(k);
             FigureRow {
                 x: k as f64,
-                results: run_testbed_point(
+                series: run_testbed_point(
                     &cfg,
                     &testbed_general_panel(),
                     seeds,
@@ -207,13 +317,13 @@ pub fn fig8(seeds: usize) -> FigureData {
             }
         })
         .collect();
-    FigureData {
-        id: "fig8".to_owned(),
-        title: "Testbed: Appro-G vs Popularity-G over K (measured)".to_owned(),
-        x_label: "K".to_owned(),
+    FigureData::new(
+        "fig8",
+        "Testbed: Appro-G vs Popularity-G over K (measured)",
+        "K",
+        &PAPER_METRICS,
         rows,
-        timeseries: None,
-    }
+    )
 }
 
 /// Fig. 1: the two-tier edge cloud illustration, as ASCII.
@@ -256,24 +366,27 @@ pub fn fig6_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::check_schema;
 
     #[test]
     fn fig4_rows_cover_f_values() {
         let data = fig4(1);
+        check_schema(&data).unwrap();
         assert_eq!(data.rows.len(), 6);
         assert_eq!(data.rows[0].x, 1.0);
         assert_eq!(data.rows[5].x, 6.0);
         for row in &data.rows {
-            assert_eq!(row.results.len(), 3);
+            assert_eq!(row.series.len(), 3);
         }
     }
 
     #[test]
     fn fig2_uses_special_panel() {
         let data = fig2(1);
-        assert_eq!(data.rows[0].results[0].name, "Appro-S");
-        assert_eq!(data.rows[0].results[1].name, "Greedy-S");
-        assert_eq!(data.rows[0].results[2].name, "Graph-S");
+        check_schema(&data).unwrap();
+        assert_eq!(data.rows[0].series[0].name, "Appro-S");
+        assert_eq!(data.rows[0].series[1].name, "Greedy-S");
+        assert_eq!(data.rows[0].series[2].name, "Graph-S");
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! * [`runner`] — evaluates an algorithm panel over seeded instances and
 //!   aggregates the paper's two metrics; the seed × algorithm grid runs
 //!   as one flat task list so wide machines stay saturated.
-//! * [`figures`] — one driver per figure (2, 3, 4, 5, 7, 8 — Figs. 1 and 6
-//!   are topology illustrations, rendered as text by the `repro` binary).
-//! * [`report`] — text/CSV rendering of figure series.
+//! * [`figures`] — the figure schema (declared metrics with units, one
+//!   summary per metric per series) and one driver per figure (2, 3, 4,
+//!   5, 7, 8 — Figs. 1 and 6 are topology illustrations, rendered as text).
+//! * [`extensions`] — extension experiments beyond the paper's figures.
+//! * [`report`] / [`plot`] — text, CSV, markdown and SVG rendering, one
+//!   panel, column group or chart per declared metric.
 //!
 //! The `repro` binary ties it together:
 //!

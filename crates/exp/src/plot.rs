@@ -1,41 +1,15 @@
 //! Self-contained SVG line charts for figure data.
 //!
 //! The paper presents its evaluation as line charts; [`figure_to_svg`]
-//! renders a [`FigureData`] panel the same way — one polyline per
-//! algorithm, 95%-CI error bars, axis ticks, and a legend — with no
-//! dependencies beyond `std`. The `repro` binary writes these next to the
-//! CSVs (`--svg DIR`), so a reproduction run produces directly comparable
-//! pictures.
+//! renders one declared metric of a [`FigureData`] the same way — one
+//! polyline per series, 95%-CI error bars, axis ticks, and a legend —
+//! with no dependencies beyond `std`. The `repro` binary writes one chart
+//! per metric next to the CSVs (`--svg DIR`, `{id}_{key}.svg`), so a
+//! reproduction run produces directly comparable pictures.
 
 use std::fmt::Write as _;
 
 use crate::figures::FigureData;
-
-/// Which metric panel of a figure to draw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Panel {
-    /// Panel (a): volume of datasets demanded by admitted queries.
-    Volume,
-    /// Panel (b): system throughput.
-    Throughput,
-}
-
-impl Panel {
-    fn label(self) -> &'static str {
-        match self {
-            Panel::Volume => "admitted demanded volume [GB]",
-            Panel::Throughput => "system throughput",
-        }
-    }
-
-    /// File-name suffix used by the `repro` binary.
-    pub fn suffix(self) -> &'static str {
-        match self {
-            Panel::Volume => "volume",
-            Panel::Throughput => "throughput",
-        }
-    }
-}
 
 /// Chart geometry and palette.
 #[derive(Debug, Clone)]
@@ -91,30 +65,29 @@ fn nice_step(span: f64, target: usize) -> f64 {
     nice * mag
 }
 
-/// Renders one panel of a figure as a standalone SVG document.
-pub fn figure_to_svg(fig: &FigureData, panel: Panel, style: &PlotStyle) -> String {
+/// Renders metric `m` (an index into [`FigureData::metrics`]) of a figure
+/// as a standalone SVG document.
+pub fn figure_to_svg(fig: &FigureData, m: usize, style: &PlotStyle) -> String {
     let (ml, mr, mt, mb) = style.margins;
     let plot_w = style.width - ml - mr;
     let plot_h = style.height - mt - mb;
     assert!(plot_w > 0.0 && plot_h > 0.0, "margins exceed the canvas");
 
+    let metric = &fig.metrics[m];
+    let axis_label = format!("{} [{}]", metric.label, metric.unit);
     // Collect series: (name, points (x, mean, ci)).
     let names: Vec<String> = fig
         .rows
         .first()
-        .map(|r| r.results.iter().map(|a| a.name.clone()).collect())
+        .map(|r| r.series.iter().map(|s| s.name.clone()).collect())
         .unwrap_or_default();
     let series: Vec<Vec<(f64, f64, f64)>> = (0..names.len())
-        .map(|ai| {
+        .map(|si| {
             fig.rows
                 .iter()
                 .map(|row| {
-                    let a = &row.results[ai];
-                    let (m, ci) = match panel {
-                        Panel::Volume => (a.volume.mean, a.volume.ci95),
-                        Panel::Throughput => (a.throughput.mean, a.throughput.ci95),
-                    };
-                    (row.x, m, ci)
+                    let v = &row.series[si].values[m];
+                    (row.x, v.mean, v.ci95)
                 })
                 .collect()
         })
@@ -152,7 +125,7 @@ pub fn figure_to_svg(fig: &FigureData, panel: Panel, style: &PlotStyle) -> Strin
         r#"<text x="{}" y="20" text-anchor="middle" font-size="14">{} — {}</text>"#,
         style.width / 2.0,
         xml_escape(&fig.id),
-        xml_escape(panel.label()),
+        xml_escape(&axis_label),
     );
 
     // Axes.
@@ -220,7 +193,7 @@ pub fn figure_to_svg(fig: &FigureData, panel: Panel, style: &PlotStyle) -> Strin
         r#"<text x="16" y="{}" text-anchor="middle" transform="rotate(-90 16 {})">{}</text>"#,
         mt + plot_h / 2.0,
         mt + plot_h / 2.0,
-        xml_escape(panel.label())
+        xml_escape(&axis_label)
     );
 
     // Series: error bars, polyline, markers.
@@ -296,34 +269,34 @@ fn xml_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::FigureRow;
-    use crate::runner::AlgResult;
-    use crate::stats::Summary;
+    use crate::figures::{FigureRow, Series, PAPER_METRICS};
+
+    /// `sample_fig()` drawn for metric `key`.
+    fn sample_svg(key: &str, style: &PlotStyle) -> String {
+        let fig = sample_fig();
+        figure_to_svg(&fig, fig.metric(key), style)
+    }
 
     fn sample_fig() -> FigureData {
-        let row = |x: f64, v: &[f64], t: &[f64]| FigureRow {
+        let row = |x: f64, v: [f64; 2], t: [f64; 2]| FigureRow {
             x,
-            results: vec![
-                AlgResult {
-                    name: "Appro-G".into(),
-                    volume: Summary::of(v),
-                    throughput: Summary::of(t),
-                },
-                AlgResult {
-                    name: "Greedy-G".into(),
-                    volume: Summary::of(&v.iter().map(|x| x / 3.0).collect::<Vec<_>>()),
-                    throughput: Summary::of(&t.iter().map(|x| x / 2.0).collect::<Vec<_>>()),
-                },
+            series: vec![
+                Series::of("Appro-G", [[v[0], t[0]], [v[1], t[1]]]),
+                Series::of(
+                    "Greedy-G",
+                    [[v[0] / 3.0, t[0] / 2.0], [v[1] / 3.0, t[1] / 2.0]],
+                ),
             ],
         };
         FigureData {
             id: "fig5".into(),
             title: "sample".into(),
             x_label: "K".into(),
+            metrics: &PAPER_METRICS,
             rows: vec![
-                row(1.0, &[80.0, 90.0], &[0.2, 0.25]),
-                row(2.0, &[170.0, 180.0], &[0.35, 0.45]),
-                row(3.0, &[250.0, 260.0], &[0.5, 0.55]),
+                row(1.0, [80.0, 90.0], [0.2, 0.25]),
+                row(2.0, [170.0, 180.0], [0.35, 0.45]),
+                row(3.0, [250.0, 260.0], [0.5, 0.55]),
             ],
             timeseries: None,
         }
@@ -331,7 +304,7 @@ mod tests {
 
     #[test]
     fn svg_is_well_formed_and_complete() {
-        let svg = figure_to_svg(&sample_fig(), Panel::Volume, &PlotStyle::default());
+        let svg = sample_svg("volume", &PlotStyle::default());
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>"));
         // One polyline per algorithm, one circle per (row, algorithm).
@@ -342,12 +315,14 @@ mod tests {
         assert!(svg.contains("Greedy-G"));
         // Both CI whiskers exist (nonzero ci on every point).
         assert!(svg.matches("stroke-width=\"1\"").count() >= 6);
+        // The y axis names the metric with its unit.
+        assert!(svg.contains(">volume of datasets demanded by admitted queries [GB]</text>"));
     }
 
     #[test]
     fn throughput_panel_scales_below_one() {
-        let svg = figure_to_svg(&sample_fig(), Panel::Throughput, &PlotStyle::default());
-        assert!(svg.contains("system throughput"));
+        let svg = sample_svg("throughput", &PlotStyle::default());
+        assert!(svg.contains("system throughput [admitted/total]"));
         // Ticks like "0.2" show up for the [0, ~0.6] range.
         assert!(svg.contains(">0.2<") || svg.contains(">0.20<"));
     }
@@ -355,7 +330,7 @@ mod tests {
     #[test]
     fn coordinates_stay_inside_canvas() {
         let style = PlotStyle::default();
-        let svg = figure_to_svg(&sample_fig(), Panel::Volume, &style);
+        let svg = sample_svg("volume", &style);
         // Crude but effective: all cx attributes within [0, width].
         for part in svg.split("cx=\"").skip(1) {
             let val: f64 = part.split('"').next().unwrap().parse().unwrap();
@@ -384,7 +359,7 @@ mod tests {
     fn single_row_figure_renders() {
         let mut fig = sample_fig();
         fig.rows.truncate(1);
-        let svg = figure_to_svg(&fig, Panel::Volume, &PlotStyle::default());
+        let svg = figure_to_svg(&fig, fig.metric("volume"), &PlotStyle::default());
         assert!(svg.contains("<polyline"));
     }
 }

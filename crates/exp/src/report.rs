@@ -1,126 +1,126 @@
-//! Rendering figure data as text tables and CSV.
+//! Rendering figure data as text tables, CSV and markdown, one panel or
+//! column group per metric the figure declares.
 
 use std::fmt::Write as _;
 
 use crate::figures::FigureData;
 
-/// Renders a figure as the paper-style two-panel text table: panel (a)
-/// admitted volume, panel (b) system throughput.
+/// Series names, taken from the first row (every row lists the same
+/// series in the same order).
+fn series_names(fig: &FigureData) -> Vec<&str> {
+    fig.rows
+        .first()
+        .map(|r| r.series.iter().map(|s| s.name.as_str()).collect())
+        .unwrap_or_default()
+}
+
+/// Renders a figure as paper-style text tables: one panel per declared
+/// metric, lettered (a), (b), … and headed `label [unit]`.
 pub fn render_text(fig: &FigureData) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{} — {}", fig.id, fig.title);
-    let names: Vec<&str> = fig
-        .rows
-        .first()
-        .map(|r| r.results.iter().map(|a| a.name.as_str()).collect())
-        .unwrap_or_default();
-
-    let _ = writeln!(
-        out,
-        "\n(a) volume of datasets demanded by admitted queries [GB]"
-    );
-    let _ = write!(out, "{:>12}", fig.x_label);
-    for n in &names {
-        let _ = write!(out, " | {n:>20}");
-    }
-    let _ = writeln!(out);
-    for row in &fig.rows {
-        let _ = write!(out, "{:>12}", trim_float(row.x));
-        for a in &row.results {
-            let _ = write!(out, " | {:>20}", a.volume.display_ci());
+    let names = series_names(fig);
+    for (m, (metric, letter)) in fig.metrics.iter().zip('a'..).enumerate() {
+        let _ = writeln!(out, "\n({letter}) {} [{}]", metric.label, metric.unit);
+        let _ = write!(out, "{:>12}", fig.x_label);
+        for n in &names {
+            let _ = write!(out, " | {n:>20}");
         }
         let _ = writeln!(out);
-    }
-
-    let _ = writeln!(out, "\n(b) system throughput [admitted/total]");
-    let _ = write!(out, "{:>12}", fig.x_label);
-    for n in &names {
-        let _ = write!(out, " | {n:>20}");
-    }
-    let _ = writeln!(out);
-    for row in &fig.rows {
-        let _ = write!(out, "{:>12}", trim_float(row.x));
-        for a in &row.results {
-            let _ = write!(
-                out,
-                " | {:>20}",
-                format!("{:.3} ± {:.3}", a.throughput.mean, a.throughput.ci95)
-            );
+        for row in &fig.rows {
+            let _ = write!(out, "{:>12}", trim_float(row.x));
+            for s in &row.series {
+                let _ = write!(out, " | {:>20}", s.values[m].display_ci(metric.decimals));
+            }
+            let _ = writeln!(out);
         }
-        let _ = writeln!(out);
     }
     out
 }
 
-/// Renders a figure as CSV: one row per (x, algorithm) pair.
+/// Renders a figure as CSV: one row per (x, series) pair, with
+/// `{key}_mean,{key}_std,{key}_ci95` columns per declared metric.
 pub fn render_csv(fig: &FigureData) -> String {
-    let mut out = String::from(
-        "figure,x,algorithm,volume_mean,volume_std,volume_ci95,throughput_mean,throughput_std,throughput_ci95,seeds\n",
-    );
+    let mut out = String::from("figure,x,algorithm");
+    for m in fig.metrics {
+        let _ = write!(out, ",{0}_mean,{0}_std,{0}_ci95", m.key);
+    }
+    out.push_str(",seeds\n");
     for row in &fig.rows {
-        for a in &row.results {
-            let _ = writeln!(
-                out,
-                "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{}",
-                fig.id,
-                trim_float(row.x),
-                a.name,
-                a.volume.mean,
-                a.volume.std_dev,
-                a.volume.ci95,
-                a.throughput.mean,
-                a.throughput.std_dev,
-                a.throughput.ci95,
-                a.volume.n,
-            );
+        for s in &row.series {
+            let name = csv_field(&s.name);
+            let _ = write!(out, "{},{},{name}", fig.id, trim_float(row.x));
+            for v in &s.values {
+                let _ = write!(out, ",{:.6},{:.6},{:.6}", v.mean, v.std_dev, v.ci95);
+            }
+            let _ = writeln!(out, ",{}", s.values.first().map_or(0, |v| v.n));
         }
     }
     out
 }
 
 /// Renders a figure as a GitHub-flavoured markdown section: one combined
-/// table with volume and throughput columns per algorithm — the format
-/// EXPERIMENTS.md uses, so regenerated data can be pasted straight in.
+/// table with a `{series} {key}` column per (metric, series) pair, cells
+/// as in [`render_text`] — the format EXPERIMENTS.md uses, so regenerated
+/// data can be pasted straight in.
 pub fn render_markdown(fig: &FigureData) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "## {} — {}
-",
-        fig.id, fig.title
-    );
-    let names: Vec<&str> = fig
-        .rows
-        .first()
-        .map(|r| r.results.iter().map(|a| a.name.as_str()).collect())
-        .unwrap_or_default();
+    let _ = writeln!(out, "## {} — {}\n", fig.id, fig.title);
+    let names = series_names(fig);
     let _ = write!(out, "| {} |", fig.x_label);
-    for n in &names {
-        let _ = write!(out, " {n} vol |");
-    }
-    for n in &names {
-        let _ = write!(out, " {n} thr |");
+    for m in fig.metrics {
+        for n in &names {
+            let _ = write!(out, " {} {} |", n.replace('|', "\\|"), m.key);
+        }
     }
     let _ = writeln!(out);
     let _ = write!(out, "|--:|");
-    for _ in 0..names.len() {
-        let _ = write!(out, "---------------:|");
-    }
-    for _ in 0..names.len() {
-        let _ = write!(out, "------:|");
+    for _ in 0..fig.metrics.len() * names.len() {
+        let _ = write!(out, "---:|");
     }
     let _ = writeln!(out);
     for row in &fig.rows {
         let _ = write!(out, "| {} |", trim_float(row.x));
-        for a in &row.results {
-            let _ = write!(out, " {} |", a.volume.display_ci());
-        }
-        for a in &row.results {
-            let _ = write!(out, " {:.3} |", a.throughput.mean);
+        for (m, metric) in fig.metrics.iter().enumerate() {
+            for s in &row.series {
+                let _ = write!(out, " {} |", s.values[m].display_ci(metric.decimals));
+            }
         }
         let _ = writeln!(out);
     }
     out
+}
+
+/// Checks a figure against its declared schema: no double spaces in the
+/// title and labels, one [`crate::Summary`] per declared metric in every
+/// series, and as many cells in every [`render_markdown`] table row as in
+/// its header. The figure tests run it on every figure they regenerate.
+pub fn check_schema(fig: &FigureData) -> Result<(), String> {
+    let labels = fig.metrics.iter().flat_map(|m| [m.label, m.unit]);
+    let mut texts = [&*fig.title, &*fig.x_label].into_iter().chain(labels);
+    if let Some(text) = texts.find(|t| t.contains("  ")) {
+        return Err(format!("{}: double space in {text:?}", fig.id));
+    }
+    let want = fig.metrics.len();
+    let mut series = fig.rows.iter().flat_map(|r| &r.series);
+    if let Some(s) = series.find(|s| s.values.len() != want) {
+        let (name, n) = (&s.name, s.values.len());
+        return Err(format!(
+            "{}: {name:?} has {n} values for {want} metrics",
+            fig.id
+        ));
+    }
+    let md = render_markdown(fig);
+    let cells = |line: &str| line.matches('|').count() - line.matches("\\|").count();
+    let mut table = md.lines().filter(|l| l.starts_with('|')).map(cells);
+    let header = table.next().unwrap_or(0);
+    match table.find(|&n| n != header) {
+        Some(n) => Err(format!(
+            "{}: a markdown row has {n} bars, header {header}",
+            fig.id
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Renders an `edgerep-obs` registry snapshot as CSV: one row per metric,
@@ -146,6 +146,15 @@ pub fn render_metrics_csv(snap: &edgerep_obs::Snapshot) -> String {
     out
 }
 
+/// Quotes a CSV field that holds a comma or quote (e.g. `EC(2,1)`).
+fn csv_field(s: &str) -> String {
+    if s.contains([',', '"']) {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_owned()
+    }
+}
+
 fn trim_float(x: f64) -> String {
     if x.fract() == 0.0 {
         format!("{}", x as i64)
@@ -157,32 +166,77 @@ fn trim_float(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::FigureRow;
-    use crate::runner::AlgResult;
-    use crate::stats::Summary;
+    use crate::figures::{FigureRow, Metric, Series, PAPER_METRICS};
 
     fn sample_fig() -> FigureData {
         FigureData {
             id: "figX".into(),
             title: "sample".into(),
             x_label: "K".into(),
+            metrics: &PAPER_METRICS,
             rows: vec![FigureRow {
                 x: 2.0,
-                results: vec![
-                    AlgResult {
-                        name: "Appro-G".into(),
-                        volume: Summary::of(&[10.0, 12.0]),
-                        throughput: Summary::of(&[0.5, 0.6]),
-                    },
-                    AlgResult {
-                        name: "Greedy-G".into(),
-                        volume: Summary::of(&[3.0, 5.0]),
-                        throughput: Summary::of(&[0.2, 0.3]),
-                    },
+                series: vec![
+                    Series::of("Appro-G", [[10.0, 0.5], [12.0, 0.6]]),
+                    Series::of("Greedy-G", [[3.0, 0.2], [5.0, 0.3]]),
                 ],
             }],
             timeseries: None,
         }
+    }
+
+    const SOLVE_MS: Metric = Metric::new("solve_ms", "solve time", "ms", 1);
+
+    /// Three declared metrics and a series name with a markdown pipe.
+    fn three_metric_fig() -> FigureData {
+        static METRICS: [Metric; 3] = [PAPER_METRICS[0], PAPER_METRICS[1], SOLVE_MS];
+        FigureData {
+            id: "figY".into(),
+            title: "three metrics".into(),
+            x_label: "R".into(),
+            metrics: &METRICS,
+            rows: vec![FigureRow {
+                x: 4.0,
+                series: vec![Series::of(
+                    "gap | speedup",
+                    [[1.0, 0.5, 20.0], [3.0, 0.7, 40.0]],
+                )],
+            }],
+            timeseries: None,
+        }
+    }
+
+    #[test]
+    fn every_declared_metric_is_rendered_with_its_unit() {
+        let fig = three_metric_fig();
+        let text = render_text(&fig);
+        assert!(text.contains("\n(c) solve time [ms]\n"), "{text}");
+        assert!(text.contains("30.0 ± 19.6"), "{text}");
+
+        let csv = render_csv(&fig);
+        assert_eq!(
+            csv.lines().next().unwrap(),
+            "figure,x,algorithm,volume_mean,volume_std,volume_ci95,throughput_mean,\
+             throughput_std,throughput_ci95,solve_ms_mean,solve_ms_std,solve_ms_ci95,seeds"
+        );
+        assert_eq!(csv.lines().nth(1).unwrap().split(',').count(), 13);
+
+        let md = render_markdown(&fig);
+        assert!(md.contains("| gap \\| speedup solve_ms |"), "{md}");
+        assert_eq!(check_schema(&fig), Ok(()));
+    }
+
+    #[test]
+    fn schema_check_names_what_is_wrong() {
+        let mut fig = three_metric_fig();
+        fig.title = "broken  continuation".into();
+        assert!(check_schema(&fig).unwrap_err().contains("double space"));
+
+        let mut fig = three_metric_fig();
+        fig.rows[0].series[0].values.pop();
+        assert!(check_schema(&fig)
+            .unwrap_err()
+            .contains("2 values for 3 metrics"));
     }
 
     #[test]
@@ -219,8 +273,10 @@ mod tests {
         assert_eq!(table.len(), 3);
         // 1 x column + 2 vol + 2 thr = 5 content columns -> 6 pipes+1.
         assert_eq!(table[0].matches('|').count(), 6);
+        assert!(table[0].contains(" Appro-G volume |"));
+        assert!(table[0].contains(" Greedy-G throughput |"));
         assert!(table[2].contains("11.00 ±"));
-        assert!(table[2].contains("0.550"));
+        assert!(table[2].contains("0.550 ± 0.098"));
     }
 
     #[test]
@@ -234,6 +290,7 @@ mod tests {
             id: "figE".into(),
             title: "empty".into(),
             x_label: "K".into(),
+            metrics: &PAPER_METRICS,
             rows: vec![],
             timeseries: None,
         }

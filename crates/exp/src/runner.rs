@@ -7,27 +7,16 @@
 //! a testbed world) is built once, up front, in a parallel stage of its
 //! own, so no task ever blocks waiting for another task's input and all
 //! algorithms compete on identical inputs exactly as in the sequential
-//! formulation. Results land in grid order, making
-//! [`collect_panel`] output byte-identical to the sequential baseline.
+//! formulation. Results land in grid order, making the per-algorithm
+//! [`Series`] byte-identical to the sequential baseline.
 
 use edgerep_core::BoxedAlgorithm;
 use edgerep_obs as obs;
 use edgerep_testbed::{run_testbed, SimConfig, TestbedConfig};
 use edgerep_workload::{generate_instance, WorkloadParams};
 
+use crate::figures::Series;
 use crate::parallel::par_map;
-use crate::stats::Summary;
-
-/// One algorithm's aggregated metrics at one figure point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlgResult {
-    /// Algorithm display name (e.g. `"Appro-G"`).
-    pub name: String,
-    /// Volume of datasets demanded by admitted queries, GB.
-    pub volume: Summary,
-    /// System throughput (admitted / total).
-    pub throughput: Summary,
-}
 
 /// Bumps the per-point runner counters: one point, `seeds` repetitions,
 /// `seeds × panel` executed panel runs (the actual scheduled tasks).
@@ -56,18 +45,23 @@ where
     });
     let mut flat = flat.into_iter();
     (0..rows)
-        .map(|_| (0..cols).map(|_| flat.next().expect("grid-sized output")).collect())
+        .map(|_| {
+            (0..cols)
+                .map(|_| flat.next().expect("grid-sized output"))
+                .collect()
+        })
         .collect()
 }
 
 /// Evaluates a simulation panel at one parameter point over `seeds`
 /// seeded topologies (the paper uses 15). Every algorithm sees the *same*
-/// instances; every returned solution is validated.
+/// instances; every returned solution is validated. Each series reports
+/// [`crate::figures::PAPER_METRICS`]: admitted volume and throughput.
 pub fn run_simulation_point(
     params: &WorkloadParams,
     panel: &[BoxedAlgorithm],
     seeds: usize,
-) -> Vec<AlgResult> {
+) -> Vec<Series> {
     assert!(seeds >= 1, "need at least one repetition");
     if panel.is_empty() {
         return Vec::new();
@@ -76,27 +70,27 @@ pub fn run_simulation_point(
     count_point(seeds, panel.len());
     let seed_ids: Vec<u64> = (0..seeds as u64).collect();
     let instances = par_map(&seed_ids, |&seed| generate_instance(params, seed));
-    let per_seed: Vec<Vec<(f64, f64)>> = run_grid(seeds, panel.len(), |seed, ai| {
+    let per_seed: Vec<Vec<[f64; 2]>> = run_grid(seeds, panel.len(), |seed, ai| {
         let inst = &instances[seed];
         let alg = &panel[ai];
         let sol = alg.solve(inst);
-        sol.validate(inst).unwrap_or_else(|e| {
-            panic!("{} produced an infeasible solution: {e:?}", alg.name())
-        });
-        (sol.admitted_volume(inst), sol.throughput(inst))
+        sol.validate(inst)
+            .unwrap_or_else(|e| panic!("{} produced an infeasible solution: {e:?}", alg.name()));
+        [sol.admitted_volume(inst), sol.throughput(inst)]
     });
-    collect_panel(panel.iter().map(|a| a.name()), &per_seed)
+    Series::per_arm(panel.iter().map(|a| a.name()), &per_seed)
 }
 
 /// Evaluates a testbed panel: each seed builds a fresh world and runs the
 /// full discrete-event experiment; metrics are the *measured* volume and
-/// throughput (queries that actually met their deadline).
+/// throughput (queries that actually met their deadline), in
+/// [`crate::figures::PAPER_METRICS`] order.
 pub fn run_testbed_point(
     cfg: &TestbedConfig,
     panel: &[BoxedAlgorithm],
     seeds: usize,
     sim: &SimConfig,
-) -> Vec<AlgResult> {
+) -> Vec<Series> {
     assert!(seeds >= 1, "need at least one repetition");
     if panel.is_empty() {
         return Vec::new();
@@ -107,43 +101,35 @@ pub fn run_testbed_point(
     let worlds = par_map(&seed_ids, |&seed| {
         edgerep_testbed::build_testbed_instance(cfg, seed)
     });
-    let per_seed: Vec<Vec<(f64, f64)>> = run_grid(seeds, panel.len(), |seed, ai| {
+    let per_seed: Vec<Vec<[f64; 2]>> = run_grid(seeds, panel.len(), |seed, ai| {
         let world = &worlds[seed];
         let sim_cfg = SimConfig {
             seed: seed as u64,
             ..*sim
         };
         let report = run_testbed(panel[ai].as_ref(), world, &sim_cfg);
-        (report.measured_volume, report.measured_throughput)
+        [report.measured_volume, report.measured_throughput]
     });
-    collect_panel(panel.iter().map(|a| a.name()), &per_seed)
-}
-
-/// Transposes per-seed metric rows into per-algorithm summaries.
-fn collect_panel<'a>(
-    names: impl Iterator<Item = &'a str>,
-    per_seed: &[Vec<(f64, f64)>],
-) -> Vec<AlgResult> {
-    names
-        .enumerate()
-        .map(|(ai, name)| {
-            let volumes: Vec<f64> = per_seed.iter().map(|row| row[ai].0).collect();
-            let throughputs: Vec<f64> = per_seed.iter().map(|row| row[ai].1).collect();
-            AlgResult {
-                name: name.to_owned(),
-                volume: Summary::of(&volumes),
-                throughput: Summary::of(&throughputs),
-            }
-        })
-        .collect()
+    Series::per_arm(panel.iter().map(|a| a.name()), &per_seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::PAPER_METRICS;
+    use crate::stats::Summary;
     use edgerep_core::{simulation_panel, special_panel, PlacementAlgorithm};
     use edgerep_model::{ComputeNodeId, DatasetId, Instance, Solution};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The summary of paper metric `key` in a runner series.
+    fn get<'a>(series: &'a Series, key: &str) -> &'a Summary {
+        let m = PAPER_METRICS
+            .iter()
+            .position(|m| m.key == key)
+            .expect("a paper metric");
+        &series.values[m]
+    }
 
     #[test]
     fn simulation_point_aggregates_panel() {
@@ -157,9 +143,10 @@ mod tests {
         assert_eq!(results[1].name, "Greedy-G");
         assert_eq!(results[2].name, "Graph-G");
         for r in &results {
-            assert_eq!(r.volume.n, 3);
-            assert!(r.volume.mean >= 0.0);
-            assert!(r.throughput.mean >= 0.0 && r.throughput.mean <= 1.0);
+            let (volume, throughput) = (get(r, "volume"), get(r, "throughput"));
+            assert_eq!(volume.n, 3);
+            assert!(volume.mean >= 0.0);
+            assert!(throughput.mean >= 0.0 && throughput.mean <= 1.0);
         }
     }
 
@@ -201,7 +188,24 @@ mod tests {
                     .collect()
             })
             .collect();
-        let sequential = collect_panel(panel.iter().map(|a| a.name()), &per_seed);
+        let sequential: Vec<Series> = panel
+            .iter()
+            .enumerate()
+            .map(|(ai, alg)| {
+                let column = |pick: fn(&(f64, f64)) -> f64| {
+                    Summary::of(
+                        &per_seed
+                            .iter()
+                            .map(|row| pick(&row[ai]))
+                            .collect::<Vec<_>>(),
+                    )
+                };
+                Series {
+                    name: alg.name().to_owned(),
+                    values: vec![column(|c| c.0), column(|c| c.1)],
+                }
+            })
+            .collect();
         assert_eq!(flattened, sequential);
     }
 
@@ -224,7 +228,7 @@ mod tests {
         ];
         let results = run_testbed_point(&cfg, &panel, 2, &SimConfig::default());
         assert_eq!(results.len(), 2);
-        assert!(results.iter().all(|r| r.throughput.mean <= 1.0));
+        assert!(results.iter().all(|r| get(r, "throughput").mean <= 1.0));
     }
 
     /// Returns a solution with a replica on a node id far outside the

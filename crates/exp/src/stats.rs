@@ -56,9 +56,9 @@ impl Summary {
         }
     }
 
-    /// `mean ± ci95` formatted for tables.
-    pub fn display_ci(&self) -> String {
-        format!("{:.2} ± {:.2}", self.mean, self.ci95)
+    /// `mean ± ci95` formatted for tables, at `decimals` places.
+    pub fn display_ci(&self, decimals: usize) -> String {
+        format!("{:.*} ± {:.*}", decimals, self.mean, decimals, self.ci95)
     }
 }
 
@@ -110,6 +110,7 @@ mod tests {
     #[test]
     fn display_format() {
         let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert!(s.display_ci().starts_with("2.00 ± "));
+        assert!(s.display_ci(2).starts_with("2.00 ± "));
+        assert_eq!(s.display_ci(3), "2.000 ± 1.132");
     }
 }

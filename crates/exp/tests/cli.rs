@@ -445,6 +445,19 @@ fn repro_renders_topology_figures_instantly() {
 }
 
 #[test]
+fn repro_runs_each_figure_once_in_first_mention_order() {
+    let out = repro()
+        .args(["fig6", "fig1", "fig6"])
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert_eq!(text.matches("Fig. 6 —").count(), 1, "{text}");
+    assert_eq!(text.matches("Fig. 1 —").count(), 1, "{text}");
+    assert!(text.find("Fig. 6 —") < text.find("Fig. 1 —"), "{text}");
+}
+
+#[test]
 fn repro_trace_writes_ndjson_ending_in_registry_dump() {
     let dir = std::env::temp_dir().join(format!("edgerep-repro-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -628,11 +628,11 @@ impl Engine {
                     }
                 }
             }
-            loop {
-                let Some(fid) = self.transfers[tid].flows.iter().position(|f| f.chunk.is_none())
-                else {
-                    break;
-                };
+            while let Some(fid) = self.transfers[tid]
+                .flows
+                .iter()
+                .position(|f| f.chunk.is_none())
+            {
                 let Some(c) = self.pick_chunk(tid) else { break };
                 let tr = &mut self.transfers[tid];
                 tr.flows[fid].chunk = Some(c);

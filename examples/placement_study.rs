@@ -64,7 +64,7 @@ fn main() {
         println!(
             "{:>14} | {:>18} | {:>9.3} ± {:.3} | {:>10.1} | {:>10.3}s",
             alg.name(),
-            v.display_ci(),
+            v.display_ci(2),
             t.mean,
             t.ci95,
             r.mean,

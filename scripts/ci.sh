@@ -110,6 +110,25 @@ grep -q '"span":"shard.solve"' "$trace_tmp/shard.ndjson" \
 grep -q '"span":"shard.reconcile"' "$trace_tmp/shard.ndjson" \
     || { echo "ext-shard trace has no shard.reconcile span event" >&2; exit 1; }
 
+# Smoke the figure schema: ext-shard declares its own metrics, so the CSV
+# must carry a solve_ms column, each declared metric must get its own
+# well-formed SVG, and no chart may be drawn for an undeclared metric.
+echo "== repro ext-shard --csv --svg --md schema smoke =="
+schema_dir="$trace_tmp/schema"
+cargo run --offline -q -p edgerep-exp --release --bin repro -- ext-shard --seeds 1 \
+    --csv "$schema_dir" --svg "$schema_dir" --md "$schema_dir" > /dev/null
+head -n 1 "$schema_dir/ext-shard.csv" | grep -q 'solve_ms_mean' \
+    || { echo "ext-shard CSV header has no solve_ms_mean column" >&2; exit 1; }
+test ! -e "$schema_dir/ext-shard_throughput.svg" \
+    || { echo "ext-shard wrote a chart for undeclared metric throughput" >&2; exit 1; }
+for key in $(head -n 1 "$schema_dir/ext-shard.csv" | tr ',' '\n' | sed -n 's/_mean$//p'); do
+    svg="$schema_dir/ext-shard_$key.svg"
+    test -s "$svg" || { echo "ext-shard has no chart for metric $key" >&2; exit 1; }
+    if command -v python3 > /dev/null; then
+        python3 -c 'import sys, xml.dom.minidom; xml.dom.minidom.parse(sys.argv[1])' "$svg"
+    fi
+done
+
 # Smoke the span-tree profiler end to end: folded stacks are written and
 # the traced stream carries the profile.dump completion event.
 echo "== repro --profile smoke =="

@@ -3,7 +3,8 @@
 //! 15-topology experiment averages reproducible.
 
 use edgerep_core::{simulation_panel, BoxedAlgorithm};
-use edgerep_exp::runner::{run_simulation_point, run_testbed_point, AlgResult};
+use edgerep_exp::figures::Series;
+use edgerep_exp::runner::{run_simulation_point, run_testbed_point};
 use edgerep_exp::Summary;
 use edgerep_testbed::{build_testbed_instance, run_testbed, SimConfig, TestbedConfig};
 use edgerep_workload::{generate_instance, WorkloadParams};
@@ -68,15 +69,18 @@ fn testbed_runs_identical_per_seed() {
 
 /// Folds per-seed `(volume, throughput)` cells into per-algorithm
 /// summaries exactly the way the pre-flatten sequential runner did:
-/// seed-major traversal, `Summary::of` over the seed axis.
-fn sequential_panel(names: &[&str], per_seed: &[Vec<(f64, f64)>]) -> Vec<AlgResult> {
+/// seed-major traversal, `Summary::of` over the seed axis, one summary
+/// per paper metric (volume, then throughput).
+fn sequential_panel(names: &[&str], per_seed: &[Vec<(f64, f64)>]) -> Vec<Series> {
     names
         .iter()
         .enumerate()
-        .map(|(ai, name)| AlgResult {
+        .map(|(ai, name)| Series {
             name: (*name).to_owned(),
-            volume: Summary::of(&per_seed.iter().map(|row| row[ai].0).collect::<Vec<_>>()),
-            throughput: Summary::of(&per_seed.iter().map(|row| row[ai].1).collect::<Vec<_>>()),
+            values: vec![
+                Summary::of(&per_seed.iter().map(|row| row[ai].0).collect::<Vec<_>>()),
+                Summary::of(&per_seed.iter().map(|row| row[ai].1).collect::<Vec<_>>()),
+            ],
         })
         .collect()
 }
@@ -84,7 +88,7 @@ fn sequential_panel(names: &[&str], per_seed: &[Vec<(f64, f64)>]) -> Vec<AlgResu
 #[test]
 fn flattened_simulation_schedule_matches_sequential_path() {
     // The 2-D seed × algorithm scheduler must be invisible in the output:
-    // byte-identical AlgResults to the plain nested loop it replaced.
+    // byte-identical series to the plain nested loop it replaced.
     let params = WorkloadParams {
         query_count: (10, 20),
         ..Default::default()

@@ -2,21 +2,40 @@
 //! on reduced-seed regenerations of every figure — who wins, roughly by
 //! how much, and the monotone trends in `F` and `K`.
 
-use edgerep_exp::figures;
+use edgerep_exp::report::check_schema;
+use edgerep_exp::{figures, FigureData, FigureRow};
 
 const SEEDS: usize = 8;
 
-fn mean_volume(row: &edgerep_exp::FigureRow, alg: usize) -> f64 {
-    row.results[alg].volume.mean
+/// Regenerates a figure and checks it against its declared schema: the
+/// paper's two panels.
+fn regenerate(fig: fn(usize) -> FigureData) -> FigureData {
+    let data = fig(SEEDS);
+    check_schema(&data).unwrap();
+    assert_eq!(data.metrics, &figures::PAPER_METRICS[..]);
+    data
 }
 
-fn mean_throughput(row: &edgerep_exp::FigureRow, alg: usize) -> f64 {
-    row.results[alg].throughput.mean
+/// Mean of paper metric `key` for algorithm `alg` at `row`.
+fn mean(row: &FigureRow, alg: usize, key: &str) -> f64 {
+    let m = figures::PAPER_METRICS
+        .iter()
+        .position(|m| m.key == key)
+        .expect("a paper metric");
+    row.series[alg].values[m].mean
+}
+
+fn mean_volume(row: &FigureRow, alg: usize) -> f64 {
+    mean(row, alg, "volume")
+}
+
+fn mean_throughput(row: &FigureRow, alg: usize) -> f64 {
+    mean(row, alg, "throughput")
 }
 
 #[test]
 fn fig2_appro_s_dominates_both_baselines() {
-    let fig = figures::fig2(SEEDS);
+    let fig = regenerate(figures::fig2);
     for row in &fig.rows {
         let (appro, greedy, graph) = (
             mean_volume(row, 0),
@@ -42,7 +61,7 @@ fn fig2_appro_s_dominates_both_baselines() {
 
 #[test]
 fn fig3_appro_g_dominates_both_baselines() {
-    let fig = figures::fig3(SEEDS);
+    let fig = regenerate(figures::fig3);
     for row in &fig.rows {
         let (appro, greedy, graph) = (
             mean_volume(row, 0),
@@ -60,7 +79,7 @@ fn fig3_appro_g_dominates_both_baselines() {
 
 #[test]
 fn fig4_throughput_declines_with_f() {
-    let fig = figures::fig4(SEEDS);
+    let fig = regenerate(figures::fig4);
     // Paper: "the system throughput of three algorithms decreases with the
     // growth of F". Checked end-to-end (F=1 vs F=6) per algorithm, which
     // is robust to small non-monotonic wiggles at 5 seeds.
@@ -84,7 +103,7 @@ fn fig4_throughput_declines_with_f() {
 
 #[test]
 fn fig5_both_metrics_grow_with_k() {
-    let fig = figures::fig5(SEEDS);
+    let fig = regenerate(figures::fig5);
     for alg in 0..3 {
         let v_first = mean_volume(&fig.rows[0], alg);
         let v_last = mean_volume(&fig.rows[fig.rows.len() - 1], alg);
@@ -108,7 +127,7 @@ fn fig5_both_metrics_grow_with_k() {
 
 #[test]
 fn fig7_appro_beats_popularity_and_throughput_declines() {
-    let fig = figures::fig7(SEEDS);
+    let fig = regenerate(figures::fig7);
     for row in &fig.rows {
         assert!(
             mean_volume(row, 0) > mean_volume(row, 1),
@@ -123,7 +142,7 @@ fn fig7_appro_beats_popularity_and_throughput_declines() {
 
 #[test]
 fn fig8_metrics_grow_with_k_and_appro_wins() {
-    let fig = figures::fig8(SEEDS);
+    let fig = regenerate(figures::fig8);
     for alg in 0..2 {
         let v_first = mean_volume(&fig.rows[0], alg);
         let v_last = mean_volume(&fig.rows[fig.rows.len() - 1], alg);
