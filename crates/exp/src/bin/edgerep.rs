@@ -95,7 +95,11 @@ fn cmd_gen(args: &[String]) {
     let seed: u64 = opt_value(args, "--seed").map_or(0, |s| parse_or_die(s, "--seed"));
     let mut params = WorkloadParams::default();
     if let Some(n) = opt_value(args, "--network-size") {
-        params = params.with_network_size(parse_or_die(n, "--network-size"));
+        let n: usize = parse_or_die(n, "--network-size");
+        if n < 3 {
+            die("--network-size must be at least 3 (one DC, one cloudlet, one switch)");
+        }
+        params = params.with_network_size(n);
     }
     if let Some(f) = opt_value(args, "--f") {
         params = params.with_max_datasets_per_query(parse_or_die(f, "--f"));
@@ -118,6 +122,9 @@ fn cmd_gen(args: &[String]) {
             _ => die("--queries needs LO and HI"),
         }
     }
+    params
+        .validate()
+        .unwrap_or_else(|e| die(&format!("invalid workload: {e}")));
     let out = opt_value(args, "-o").unwrap_or_else(|| die("gen needs -o FILE"));
     let inst = generate_instance(&params, seed);
     let spec = InstanceSpec::from_instance(&inst);
@@ -254,6 +261,12 @@ fn cmd_solve(args: &[String]) {
     let shards: usize = opt_value(args, "--shards").map_or(1, |s| parse_or_die(s, "--shards"));
     if shards == 0 {
         die("--shards needs a positive integer");
+    }
+    let nodes = inst.cloud().compute_count();
+    if shards > nodes {
+        die(&format!(
+            "--shards {shards} exceeds the instance's {nodes} compute nodes"
+        ));
     }
     let transfer = parse_transfer(args);
     let fault_plan = if args.iter().any(|a| a == "--fault-plan") {

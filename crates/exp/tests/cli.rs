@@ -145,6 +145,44 @@ fn gen_without_output_fails() {
     assert!(!out.status.success());
 }
 
+/// Out-of-domain generator and solver arguments exit 2 with a message
+/// naming the problem, never with a panic.
+#[test]
+fn degenerate_arguments_exit_2_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("edgerep-cli-degenerate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst = dir.join("inst.json");
+    let inst = inst.to_str().unwrap();
+    let out = edgerep()
+        .args(["gen", "--seed", "1", "-o", inst])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen failed: {out:?}");
+    let cases: [(&[&str], &str); 5] = [
+        (&["gen", "--queries", "0", "0"], "query_count"),
+        (&["gen", "--network-size", "2"], "--network-size"),
+        (&["gen", "--k", "0"], "K must be"),
+        (&["gen", "--f", "0"], "datasets_per_query"),
+        (
+            &["solve", "-i", inst, "--alg", "all", "--shards", "1000"],
+            "--shards",
+        ),
+    ];
+    for (args, message) in cases {
+        let mut cmd = edgerep();
+        cmd.args(args);
+        if args[0] == "gen" {
+            cmd.args(["-o", dir.join("bad.json").to_str().unwrap()]);
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn inspect_rejects_garbage_file() {
     let dir = std::env::temp_dir().join(format!("edgerep-cli-garbage-{}", std::process::id()));

@@ -226,10 +226,12 @@ impl Solution {
     }
 
     /// Objective (1): total volume of datasets demanded by admitted queries.
+    /// `+0.0` when nothing is admitted (`f64`'s `Sum` of nothing is `-0.0`,
+    /// which prints as `-0.00`).
     pub fn admitted_volume(&self, inst: &Instance) -> f64 {
         self.admitted_queries()
             .map(|q| inst.demanded_volume(q))
-            .sum()
+            .fold(0.0, |acc, v| acc + v)
     }
 
     /// System throughput: admitted queries / total queries (§4.2).
@@ -368,7 +370,7 @@ mod tests {
         let inst = inst();
         let sol = Solution::empty(&inst);
         assert!(sol.validate(&inst).is_ok());
-        assert_eq!(sol.admitted_volume(&inst), 0.0);
+        assert_eq!(sol.admitted_volume(&inst).to_bits(), 0.0f64.to_bits());
         assert_eq!(sol.throughput(&inst), 0.0);
         assert_eq!(sol.total_replicas(), 0);
     }

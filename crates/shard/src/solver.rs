@@ -19,6 +19,9 @@
 //! query-id order — deterministic, capacity/deadline/budget-checked
 //! through the same [`AdmissionState`] machinery every solver uses.
 
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
 use edgerep_core::admission::{AdmissionState, PlannedDemand};
 use edgerep_core::appro::{Appro, ApproConfig, ApproReport};
 use edgerep_core::PlacementAlgorithm;
@@ -98,17 +101,16 @@ impl<A: PlacementAlgorithm + Sync> ShardedSolver<A> {
     }
 }
 
-/// Static display-name mapping (the trait requires `&'static str`).
+/// `"{inner}/sharded"`. The trait requires `&'static str`, so each
+/// distinct inner name is leaked once and interned.
 fn sharded_name(inner: &'static str) -> &'static str {
-    match inner {
-        "Appro-G" => "Appro-G/sharded",
-        "Appro-S" => "Appro-S/sharded",
-        "Greedy-G" => "Greedy-G/sharded",
-        "Greedy-S" => "Greedy-S/sharded",
-        "Graph-G" => "Graph-G/sharded",
-        "Graph-S" => "Graph-S/sharded",
-        _ => "sharded",
-    }
+    static NAMES: Mutex<BTreeMap<&'static str, &'static str>> = Mutex::new(BTreeMap::new());
+    let mut names = NAMES
+        .lock()
+        .expect("no thread panics while holding the name table");
+    names
+        .entry(inner)
+        .or_insert_with(|| Box::leak(format!("{inner}/sharded").into_boxed_str()))
 }
 
 impl<A: PlacementAlgorithm + Sync> PlacementAlgorithm for ShardedSolver<A> {
@@ -442,5 +444,37 @@ mod tests {
         assert_eq!(sharded.name(), "Appro-G/sharded");
         let greedy = ShardedSolver::new(Greedy::general(), ShardConfig::default());
         assert_eq!(greedy.name(), "Greedy-G/sharded");
+        // Interned: the same inner name yields the same `&'static str`.
+        assert!(std::ptr::eq(
+            sharded.name(),
+            ShardedSolver::new(ApproG::default(), ShardConfig::default()).name()
+        ));
+    }
+
+    #[test]
+    fn every_algorithm_gets_its_own_sharded_name() {
+        use edgerep_core::centroid::Centroid;
+        use edgerep_core::graphpart::GraphPartition;
+        use edgerep_core::online::OnlineAppro;
+        use edgerep_core::popularity::Popularity;
+        let inner: Vec<edgerep_core::BoxedAlgorithm> = vec![
+            Box::new(ApproG::default()),
+            Box::new(Greedy::general()),
+            Box::new(GraphPartition::general()),
+            Box::new(Popularity::general()),
+            Box::new(Centroid),
+            Box::new(OnlineAppro::default()),
+        ];
+        let names: Vec<&str> = inner
+            .into_iter()
+            .map(|a| {
+                let plain = a.name();
+                let name = ShardedSolver::new(a, ShardConfig::default()).name();
+                assert_eq!(name, format!("{plain}/sharded"));
+                name
+            })
+            .collect();
+        let distinct: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(distinct.len(), names.len(), "{names:?}");
     }
 }

@@ -30,7 +30,9 @@ fn draw_int(rng: &mut SmallRng, (lo, hi): (usize, usize)) -> usize {
 /// # Panics
 /// Panics if `params` fails [`WorkloadParams::validate`].
 pub fn generate_instance(params: &WorkloadParams, seed: u64) -> Instance {
-    params.validate();
+    if let Err(e) = params.validate() {
+        panic!("invalid workload parameters: {e}");
+    }
     let mut rng = SmallRng::seed_from_u64(seed);
 
     // --- Topology ------------------------------------------------------
@@ -432,7 +434,7 @@ mod tests {
         assert_eq!(p.query_count, (100, 1000));
         assert_eq!(p.dataset_count, (50, 200));
         assert_eq!(p.network_size(), WorkloadParams::default().network_size());
-        p.validate();
+        p.validate().unwrap();
     }
 
     #[test]

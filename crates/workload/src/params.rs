@@ -166,61 +166,70 @@ impl WorkloadParams {
     }
 
     /// Sets the paper's `F` knob: max datasets demanded per query
-    /// (Fig. 4 / Fig. 7 x-axis).
+    /// (Fig. 4 / Fig. 7 x-axis). [`Self::validate`] rejects `f = 0`.
     pub fn with_max_datasets_per_query(mut self, f: usize) -> Self {
-        assert!(f >= 1);
         self.datasets_per_query = (self.datasets_per_query.0.min(f), f);
         self
     }
 
     /// Sets the replica budget `K` (Fig. 5 / Fig. 8 x-axis).
+    /// [`Self::validate`] rejects `k = 0`.
     pub fn with_max_replicas(mut self, k: usize) -> Self {
-        assert!(k >= 1);
         self.max_replicas = k;
         self
     }
 
-    /// Panics with a diagnostic if any range is inverted or out of domain.
-    pub fn validate(&self) {
-        fn check(name: &str, (lo, hi): Range, positive: bool) {
-            assert!(
-                lo.is_finite() && hi.is_finite() && lo <= hi,
-                "{name}: invalid range [{lo}, {hi}]"
-            );
-            if positive {
-                assert!(lo > 0.0, "{name}: must be positive, got {lo}");
-            } else {
-                assert!(lo >= 0.0, "{name}: must be non-negative, got {lo}");
+    /// Checks every range and count, naming the first one that is
+    /// inverted or out of domain.
+    pub fn validate(&self) -> Result<(), String> {
+        fn check(name: &str, (lo, hi): Range, positive: bool) -> Result<(), String> {
+            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+                return Err(format!("{name}: invalid range [{lo}, {hi}]"));
             }
+            if positive && lo <= 0.0 {
+                return Err(format!("{name}: must be positive, got {lo}"));
+            }
+            if !positive && lo < 0.0 {
+                return Err(format!("{name}: must be non-negative, got {lo}"));
+            }
+            Ok(())
         }
-        assert!(self.data_centers + self.cloudlets > 0, "no compute nodes");
-        assert!(
-            (0.0..=1.0).contains(&self.link_probability),
-            "link probability out of [0,1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.home_on_cloudlet_probability),
-            "home probability out of [0,1]"
-        );
-        check("dc_capacity", self.dc_capacity, true);
-        check("cloudlet_capacity", self.cloudlet_capacity, true);
-        check("dc_proc_delay", self.dc_proc_delay, false);
-        check("cloudlet_proc_delay", self.cloudlet_proc_delay, false);
-        check("wman_link_delay", self.wman_link_delay, false);
-        check("internet_link_delay", self.internet_link_delay, false);
-        check("dataset_volume", self.dataset_volume, true);
-        check("compute_rate", self.compute_rate, true);
-        check("deadline_base", self.deadline_base, true);
-        check("deadline_per_gb", self.deadline_per_gb, true);
-        check("selectivity", self.selectivity, true);
-        assert!(self.selectivity.1 <= 1.0, "selectivity above 1");
-        assert!(self.dataset_count.0 >= 1 && self.dataset_count.0 <= self.dataset_count.1);
-        assert!(self.query_count.0 >= 1 && self.query_count.0 <= self.query_count.1);
-        assert!(
-            self.datasets_per_query.0 >= 1
-                && self.datasets_per_query.0 <= self.datasets_per_query.1
-        );
-        assert!(self.max_replicas >= 1, "K must be >= 1");
+        fn count(name: &str, (lo, hi): IntRange) -> Result<(), String> {
+            if lo < 1 || lo > hi {
+                return Err(format!("{name}: need 1 <= lo <= hi, got [{lo}, {hi}]"));
+            }
+            Ok(())
+        }
+        if self.data_centers + self.cloudlets == 0 {
+            return Err("no compute nodes".into());
+        }
+        if !(0.0..=1.0).contains(&self.link_probability) {
+            return Err("link probability out of [0,1]".into());
+        }
+        if !(0.0..=1.0).contains(&self.home_on_cloudlet_probability) {
+            return Err("home probability out of [0,1]".into());
+        }
+        check("dc_capacity", self.dc_capacity, true)?;
+        check("cloudlet_capacity", self.cloudlet_capacity, true)?;
+        check("dc_proc_delay", self.dc_proc_delay, false)?;
+        check("cloudlet_proc_delay", self.cloudlet_proc_delay, false)?;
+        check("wman_link_delay", self.wman_link_delay, false)?;
+        check("internet_link_delay", self.internet_link_delay, false)?;
+        check("dataset_volume", self.dataset_volume, true)?;
+        check("compute_rate", self.compute_rate, true)?;
+        check("deadline_base", self.deadline_base, true)?;
+        check("deadline_per_gb", self.deadline_per_gb, true)?;
+        check("selectivity", self.selectivity, true)?;
+        if self.selectivity.1 > 1.0 {
+            return Err("selectivity above 1".into());
+        }
+        count("dataset_count", self.dataset_count)?;
+        count("query_count", self.query_count)?;
+        count("datasets_per_query", self.datasets_per_query)?;
+        if self.max_replicas < 1 {
+            return Err("K must be >= 1".into());
+        }
+        Ok(())
     }
 }
 
@@ -243,7 +252,7 @@ mod tests {
         assert_eq!(p.query_count, (10, 100));
         assert_eq!(p.datasets_per_query, (1, 7));
         assert_eq!(p.network_size(), 32);
-        p.validate();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -255,7 +264,7 @@ mod tests {
         assert_eq!(p.cloudlets, 48);
         let p = WorkloadParams::default().with_network_size(200);
         assert_eq!(p.network_size(), 200);
-        p.validate();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -264,7 +273,7 @@ mod tests {
         assert!(p.data_centers >= 1);
         assert!(p.cloudlets >= 1);
         assert!(p.switches >= 1);
-        p.validate();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -273,14 +282,14 @@ mod tests {
         assert_eq!(p.datasets_per_query, (1, 1));
         let p = WorkloadParams::default().with_max_datasets_per_query(4);
         assert_eq!(p.datasets_per_query, (1, 4));
-        p.validate();
+        p.validate().unwrap();
     }
 
     #[test]
     fn k_knob() {
         let p = WorkloadParams::default().with_max_replicas(7);
         assert_eq!(p.max_replicas, 7);
-        p.validate();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -290,7 +299,7 @@ mod tests {
             max_replicas: 0,
             ..Default::default()
         };
-        p.validate();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -300,6 +309,25 @@ mod tests {
             dataset_volume: (6.0, 1.0),
             ..Default::default()
         };
-        p.validate();
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn zero_counts_rejected_by_validate() {
+        let zero_k = WorkloadParams::default().with_max_replicas(0);
+        assert_eq!(zero_k.validate().unwrap_err(), "K must be >= 1");
+        let zero_queries = WorkloadParams {
+            query_count: (0, 0),
+            ..Default::default()
+        };
+        assert!(zero_queries
+            .validate()
+            .unwrap_err()
+            .starts_with("query_count"));
+        let zero_f = WorkloadParams::default().with_max_datasets_per_query(0);
+        assert!(zero_f
+            .validate()
+            .unwrap_err()
+            .starts_with("datasets_per_query"));
     }
 }

@@ -49,7 +49,7 @@ mod tests {
         let p = fig2_special_case(100);
         assert_eq!(p.datasets_per_query, (1, 1));
         assert_eq!(p.network_size(), 100);
-        p.validate();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -57,7 +57,7 @@ mod tests {
         let p = fig3_general_case(60);
         assert_eq!(p.datasets_per_query, (1, 7));
         assert_eq!(p.network_size(), 60);
-        p.validate();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -65,7 +65,7 @@ mod tests {
         for f in F_VALUES {
             let p = fig4_vary_f(f);
             assert_eq!(p.datasets_per_query.1, f);
-            p.validate();
+            p.validate().unwrap();
         }
     }
 
@@ -74,7 +74,7 @@ mod tests {
         for k in K_VALUES {
             let p = fig5_vary_k(k);
             assert_eq!(p.max_replicas, k);
-            p.validate();
+            p.validate().unwrap();
         }
     }
 }

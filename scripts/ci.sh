@@ -39,12 +39,14 @@ cargo test --offline -q
 echo "== determinism: flattened schedule == sequential baseline =="
 cargo test --offline -q -p edgerep-exp --test integration_determinism
 
-# The solver hot path (cached candidate matrix, batched dual prices) and
+# The solver hot path (cached candidate matrix, batched dual prices,
+# dirty-set select) and
 # the rolling incremental-replan fast path must stay byte-identical to
 # their naive reference paths: run the equivalence pins by name so a
 # filtered run can never silently skip them.
 echo "== equivalence: cached hot path == naive reference =="
 cargo test --offline -q -p edgerep-core --lib appro::tests::cached_scan
+cargo test --offline -q -p edgerep-testbed --test appro_equivalence
 cargo test --offline -q -p edgerep-core --test proptests solvers_tolerate_disconnected_topologies
 cargo test --offline -q -p edgerep-testbed --lib rolling::tests::replan_skips_on_empty_diff_and_reuses_layout_verbatim
 cargo test --offline -q -p edgerep-testbed --lib rolling::tests::cached_world_stamps_identical_instances
@@ -63,6 +65,24 @@ if command -v python3 > /dev/null; then
 fi
 tail -n 1 "$trace_tmp/fig2.ndjson" | grep -q '"event":"dump.done"' \
     || { echo "repro --trace did not end in a dump.done line" >&2; exit 1; }
+
+# The global select re-plans only the pending queries a commit can change
+# (the dirty set). Gate its work, not its time: `appro.plans` is
+# deterministic, and a full rescan after every commit makes 312,373 plans
+# on this world where the dirty set makes 80,225.
+echo "== appro-g work gate: appro.plans on gen --seed 1 --scale 16 =="
+cargo run --offline -q -p edgerep-exp --release --bin edgerep -- gen --seed 1 --scale 16 \
+    -o "$trace_tmp/scale16.json" > /dev/null
+cargo run --offline -q -p edgerep-exp --release --bin edgerep -- solve \
+    -i "$trace_tmp/scale16.json" --alg appro-g --stats > "$trace_tmp/scale16.txt"
+grep -q 'volume 2558.66 GB' "$trace_tmp/scale16.txt" \
+    || { echo "appro-g no longer admits 2558.66 GB on --scale 16" >&2; exit 1; }
+plans="$(awk '$1 == "appro.plans" { print $2 }' "$trace_tmp/scale16.txt")"
+test -n "$plans" || { echo "solve --stats printed no appro.plans counter" >&2; exit 1; }
+if [ "$plans" -gt 100000 ]; then
+    echo "appro.plans = $plans on --scale 16, above the 100,000 gate" >&2
+    exit 1
+fi
 
 # Smoke the predictive-replication extension: the trace must close with
 # the registry dump and contain at least one forecast.predict span from
