@@ -237,8 +237,10 @@ impl<'a> AdmissionState<'a> {
         let quorum = self.inst.scheme(d).min_read();
         if holders.len() < quorum {
             let cloud = self.inst.cloud();
-            let mut fills: Vec<ComputeNodeId> =
-                cloud.compute_ids().filter(|c| !holders.contains(c)).collect();
+            let mut fills: Vec<ComputeNodeId> = cloud
+                .compute_ids()
+                .filter(|c| !holders.contains(c))
+                .collect();
             fills.sort_by(|&a, &b| {
                 cloud
                     .min_delay(a, v)

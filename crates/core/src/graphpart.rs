@@ -95,7 +95,11 @@ impl PlacementAlgorithm for GraphPartition {
                 }
             }
             let mut ranked: Vec<ComputeNodeId> = inst.cloud().compute_ids().collect();
-            ranked.sort_by(|&a, &b| score[b.index()].total_cmp(&score[a.index()]).then(a.cmp(&b)));
+            ranked.sort_by(|&a, &b| {
+                score[b.index()]
+                    .total_cmp(&score[a.index()])
+                    .then(a.cmp(&b))
+            });
             for v in ranked
                 .into_iter()
                 .filter(|v| score[v.index()] > 0.0)

@@ -147,7 +147,11 @@ pub fn plan_replacements(
                 .map(|v| (v, coverage(inst, state.solution(), d, v)))
                 .max_by(|(va, ca), (vb, cb)| {
                     ca.cmp(cb)
-                        .then_with(|| state.load_fraction(*vb).total_cmp(&state.load_fraction(*va)))
+                        .then_with(|| {
+                            state
+                                .load_fraction(*vb)
+                                .total_cmp(&state.load_fraction(*va))
+                        })
                         .then(vb.0.cmp(&va.0))
                 });
             let Some((target, _)) = candidate else { break };
@@ -168,9 +172,15 @@ pub fn plan_replacements(
                     .count();
                 let origin = inst.dataset(d).origin;
                 if live_holders >= scheme.min_read() {
-                    (source, ec::rebuild_charge(scheme, inst.size(d), false).read_gb)
+                    (
+                        source,
+                        ec::rebuild_charge(scheme, inst.size(d), false).read_gb,
+                    )
                 } else if alive[origin.index()] && origin != target {
-                    (origin, ec::rebuild_charge(scheme, inst.size(d), true).read_gb)
+                    (
+                        origin,
+                        ec::rebuild_charge(scheme, inst.size(d), true).read_gb,
+                    )
                 } else {
                     break; // below quorum and no live origin: unrecoverable
                 }
@@ -372,15 +382,16 @@ mod tests {
                 .expect("some node holds no replica of this dataset");
             let sources = pick_sources(&inst, &sol, &alive, d, target);
             // Head agrees with the single-source picker.
-            assert_eq!(sources.first().copied(), pick_source(&inst, &sol, &alive, d, target));
+            assert_eq!(
+                sources.first().copied(),
+                pick_source(&inst, &sol, &alive, d, target)
+            );
             // Holders are sorted nearest-first; no duplicates; never the
             // target itself.
             for w in sources.windows(2) {
                 let (a, b) = (w[0], w[1]);
                 if sol.replicas_of(d).contains(&a) && sol.replicas_of(d).contains(&b) {
-                    assert!(
-                        cloud.min_delay(a, target) <= cloud.min_delay(b, target) + 1e-12
-                    );
+                    assert!(cloud.min_delay(a, target) <= cloud.min_delay(b, target) + 1e-12);
                 }
             }
             let mut dedup = sources.clone();

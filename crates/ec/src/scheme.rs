@@ -142,10 +142,7 @@ impl RedundancyScheme {
     pub fn parse(s: &str) -> Option<Self> {
         let s = s.trim();
         if let Some(rest) = s.strip_prefix("rep") {
-            let digits = rest
-                .trim_start_matches('(')
-                .trim_end_matches(')')
-                .trim();
+            let digits = rest.trim_start_matches('(').trim_end_matches(')').trim();
             let k: usize = digits.parse().ok()?;
             return RedundancyScheme::replication(k).ok();
         }
@@ -228,7 +225,10 @@ mod tests {
             assert_eq!(ec.slots(), rep.slots());
             assert_eq!(ec.min_read(), rep.min_read());
             assert_eq!(ec.needs_decode(), rep.needs_decode());
-            assert_eq!(ec.stored_fraction().to_bits(), rep.stored_fraction().to_bits());
+            assert_eq!(
+                ec.stored_fraction().to_bits(),
+                rep.stored_fraction().to_bits()
+            );
             assert_eq!(ec.shard_gb(4.7).to_bits(), rep.shard_gb(4.7).to_bits());
             assert_eq!(ec.loss_tolerance(), rep.loss_tolerance());
         }

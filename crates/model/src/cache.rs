@@ -137,7 +137,12 @@ mod tests {
         let d0 = ib.add_dataset(4.0, dc);
         let d1 = ib.add_dataset(2.0, dc);
         ib.add_query(c0, vec![Demand::new(d0, 0.5)], 1.0, 1.0);
-        ib.add_query(c1, vec![Demand::new(d0, 1.0), Demand::new(d1, 0.5)], 1.0, 0.3);
+        ib.add_query(
+            c1,
+            vec![Demand::new(d0, 1.0), Demand::new(d1, 0.5)],
+            1.0,
+            0.3,
+        );
         ib.add_query(c0, vec![Demand::new(d1, 1.0)], 1.0, 0.005); // infeasible everywhere
         ib.build().unwrap()
     }

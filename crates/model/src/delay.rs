@@ -49,7 +49,12 @@ pub fn assignment_delay(inst: &Instance, q: QueryId, demand_idx: usize, v: Compu
 /// * `INFINITY` when fewer than `k` holders are live — the dataset is
 ///   unreadable at `v` until repair, which admission treats as a
 ///   deadline violation.
-pub fn read_overhead(inst: &Instance, d: DatasetId, v: ComputeNodeId, holders: &[ComputeNodeId]) -> f64 {
+pub fn read_overhead(
+    inst: &Instance,
+    d: DatasetId,
+    v: ComputeNodeId,
+    holders: &[ComputeNodeId],
+) -> f64 {
     let scheme = inst.scheme(d);
     if !scheme.needs_decode() {
         return 0.0;

@@ -587,7 +587,10 @@ mod tests {
         );
         assert_eq!(inst.slots(DatasetId(0)), 6);
         assert_eq!(inst.shard_gb(DatasetId(0)), 0.5); // 2 GB / 4
-        assert_eq!(inst.scheme(DatasetId(1)), RedundancyScheme::Replication { k: 1 });
+        assert_eq!(
+            inst.scheme(DatasetId(1)),
+            RedundancyScheme::Replication { k: 1 }
+        );
         assert_eq!(inst.slots(DatasetId(1)), 1);
         assert_eq!(inst.decode_s_per_gb(), 0.1);
         assert_eq!(inst.encode_s_per_gb(), 0.2);

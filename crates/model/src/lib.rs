@@ -73,10 +73,10 @@ pub mod prelude {
         assignment_delay, assignment_delay_with_holders, is_deadline_feasible, query_delay,
         read_overhead,
     };
-    pub use edgerep_ec::RedundancyScheme;
     pub use crate::instance::{Instance, InstanceBuilder, InstanceError};
     pub use crate::metrics::Metrics;
     pub use crate::network::{ComputeNodeId, EdgeCloud, EdgeCloudBuilder, NetworkError, NodeKind};
     pub use crate::query::{Demand, Query, QueryId};
     pub use crate::solution::{Solution, SolutionError, FEASIBILITY_EPS};
+    pub use edgerep_ec::RedundancyScheme;
 }

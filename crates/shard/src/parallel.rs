@@ -109,8 +109,7 @@ where
                             tx.send((i, r)).expect("receiver outlives the scope");
                         }
                         Err(payload) => {
-                            let mut slot =
-                                first_panic.lock().unwrap_or_else(|e| e.into_inner());
+                            let mut slot = first_panic.lock().unwrap_or_else(|e| e.into_inner());
                             // Keep the lowest-indexed payload: when several
                             // items fail in one call the surfaced diagnostic
                             // is as stable as the schedule allows.
@@ -131,9 +130,7 @@ where
         drop(tx); // workers hold the remaining senders
     });
 
-    let caught = first_panic
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
+    let caught = first_panic.into_inner().unwrap_or_else(|e| e.into_inner());
     if let Some((index, payload)) = caught {
         obs::counter("parallel.panics").inc();
         if timed {
@@ -292,10 +289,7 @@ mod tests {
                 x
             })
         }));
-        assert_eq!(
-            par_map(&items, |&x| x + 1),
-            (1..17).collect::<Vec<u32>>()
-        );
+        assert_eq!(par_map(&items, |&x| x + 1), (1..17).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -278,9 +278,7 @@ mod tests {
                     assert_eq!(sub.cloud().available(v), 0.0);
                 }
                 assert_eq!(
-                    sub.cloud()
-                        .min_delay(v, ComputeNodeId(0))
-                        .to_bits(),
+                    sub.cloud().min_delay(v, ComputeNodeId(0)).to_bits(),
                     inst.cloud().min_delay(v, ComputeNodeId(0)).to_bits()
                 );
             }
@@ -298,7 +296,11 @@ mod tests {
             interior_total += shard.queries.len();
         }
         // Interior queries partition the non-border queries.
-        let non_border = inst.queries().iter().filter(|q| !plan.is_border(q.id)).count();
+        let non_border = inst
+            .queries()
+            .iter()
+            .filter(|q| !plan.is_border(q.id))
+            .count();
         assert_eq!(interior_total, non_border);
     }
 

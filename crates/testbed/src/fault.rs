@@ -504,8 +504,7 @@ impl FaultConfig {
                 for i in (1..members.len()).rev() {
                     members.swap(i, rng.gen_range(0..=i));
                 }
-                let victims = ((self.storm_region_fraction * members.len() as f64).ceil()
-                    as usize)
+                let victims = ((self.storm_region_fraction * members.len() as f64).ceil() as usize)
                     .min(members.len());
                 let span_end = trigger + self.storm_window_s + self.storm_mttr_s;
                 for &m in &members[..victims] {

@@ -1589,8 +1589,7 @@ pub fn try_run_testbed_with_plan(
                                 xfer_jobs[job].resolved = true; // poisoned
                                 continue;
                             }
-                            let Some(path) =
-                                source_path(cloud, fault_plan, j.source, j.dest, now)
+                            let Some(path) = source_path(cloud, fault_plan, j.source, j.dest, now)
                             else {
                                 if j.attempts >= XFER_MAX_ATTEMPTS {
                                     xfer_jobs[job].resolved = true;
@@ -1898,8 +1897,7 @@ pub fn try_run_testbed_with_plan(
                                         else {
                                             continue;
                                         };
-                                        let ledger =
-                                            ChunkLedger::new(gb, ch.eng.config().chunk_gb);
+                                        let ledger = ChunkLedger::new(gb, ch.eng.config().chunk_gb);
                                         let tid = ch.eng.begin(
                                             now,
                                             v.index(),
@@ -2081,9 +2079,21 @@ pub fn try_run_testbed_with_plan(
     let mean_transfer_s = sorted_mean(transfer_durations);
     let repair_completion_mean_s = sorted_mean(repair_durations);
     let tier_completion_mean_s = [
-        if tier_count[0] == 0 { 0.0 } else { tier_sum_s[0] / tier_count[0] as f64 },
-        if tier_count[1] == 0 { 0.0 } else { tier_sum_s[1] / tier_count[1] as f64 },
-        if tier_count[2] == 0 { 0.0 } else { tier_sum_s[2] / tier_count[2] as f64 },
+        if tier_count[0] == 0 {
+            0.0
+        } else {
+            tier_sum_s[0] / tier_count[0] as f64
+        },
+        if tier_count[1] == 0 {
+            0.0
+        } else {
+            tier_sum_s[1] / tier_count[1] as f64
+        },
+        if tier_count[2] == 0 {
+            0.0
+        } else {
+            tier_sum_s[2] / tier_count[2] as f64
+        },
     ];
     let availability = if planned_admitted == 0 {
         1.0
@@ -2534,7 +2544,8 @@ mod tests {
         }
         plan.assign_query(QueryId(0), vec![c0]);
         plan.assign_query(QueryId(1), vec![c1]);
-        plan.validate(&inst).expect("hand-built EC plan is feasible");
+        plan.validate(&inst)
+            .expect("hand-built EC plan is feasible");
         let world = TestbedWorld {
             instance: inst,
             regions: vec![crate::geo::Region::Metro; 4],
@@ -2625,7 +2636,10 @@ mod tests {
         };
         let report = run_testbed_with_faults(&FixedPlan(plan), &world, &cfg, &faults);
         assert!(report.repairs_scheduled >= 1, "scrub found the lost shard");
-        assert_eq!(report.repairs_completed, 1, "rebuilt once, then clean passes");
+        assert_eq!(
+            report.repairs_completed, 1,
+            "rebuilt once, then clean passes"
+        );
         assert!((report.repair_gb - 4.0).abs() < 1e-9, "k × shard volume");
         assert_eq!(report.live_plan.replica_count(d0), 3, "full set restored");
         assert_eq!(report.queries_lost_to_faults, 0);

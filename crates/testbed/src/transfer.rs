@@ -52,7 +52,11 @@ pub enum FlowTier {
 
 impl FlowTier {
     /// All tiers, highest priority first.
-    pub const ALL: [FlowTier; 3] = [FlowTier::Immediate, FlowTier::Scheduled, FlowTier::Background];
+    pub const ALL: [FlowTier; 3] = [
+        FlowTier::Immediate,
+        FlowTier::Scheduled,
+        FlowTier::Background,
+    ];
 
     /// Tier index (0 = highest priority).
     pub fn index(self) -> usize {
@@ -136,8 +140,14 @@ pub struct ChunkLedger {
 impl ChunkLedger {
     /// A fresh (all-missing) ledger for a `total_gb` replica.
     pub fn new(total_gb: f64, chunk_gb: f64) -> Self {
-        assert!(total_gb >= 0.0 && total_gb.is_finite(), "invalid size {total_gb}");
-        assert!(chunk_gb > 0.0 && chunk_gb.is_finite(), "invalid chunk {chunk_gb}");
+        assert!(
+            total_gb >= 0.0 && total_gb.is_finite(),
+            "invalid size {total_gb}"
+        );
+        assert!(
+            chunk_gb > 0.0 && chunk_gb.is_finite(),
+            "invalid chunk {chunk_gb}"
+        );
         let n = if total_gb <= 0.0 {
             0
         } else {
@@ -556,8 +566,7 @@ impl Engine {
                         let Some(c) = f.chunk else { break };
                         if budget >= f.rem_gb {
                             let n = tr.ledger.n_chunks();
-                            let last_piece =
-                                !(0..n).any(|o| o != c && !tr.ledger.is_verified(o));
+                            let last_piece = !(0..n).any(|o| o != c && !tr.ledger.is_verified(o));
                             if last_piece {
                                 f.rem_gb = 0.0;
                                 budget = 0.0;
@@ -668,7 +677,12 @@ impl Engine {
                 .collect();
             let ends: Vec<(usize, usize)> = act
                 .iter()
-                .map(|&(tid, fid)| (self.transfers[tid].flows[fid].src.node, self.transfers[tid].dest))
+                .map(|&(tid, fid)| {
+                    (
+                        self.transfers[tid].flows[fid].src.node,
+                        self.transfers[tid].dest,
+                    )
+                })
                 .collect();
             let mut granted = vec![0.0f64; act.len()];
             let mut capped = vec![false; act.len()];
@@ -1030,7 +1044,14 @@ mod tests {
         assert!((ledger.verified_gb() - 0.5).abs() < 1e-9);
         let moved_before = ledger.verified_gb();
         // Resume later from the same ledger: only the missing 1.5 GB move.
-        let id2 = e.begin(t(10.0), 1, FlowTier::Background, Some(3), ledger, &[src(0, 1.0)]);
+        let id2 = e.begin(
+            t(10.0),
+            1,
+            FlowTier::Background,
+            Some(3),
+            ledger,
+            &[src(0, 1.0)],
+        );
         let (at, _) = e.next_event().unwrap();
         assert_eq!(at, t(10.0).after_secs((1.0 * 1.5) * 1.0));
         assert_eq!(e.advance(at), vec![id2]);
@@ -1097,7 +1118,9 @@ mod tests {
             e.set_sources(t(0.3), c, &[src(3, 0.7), src(1, 1.1)]);
             let _ = e.cancel(t(0.9), a);
             for _ in 0..40 {
-                let Some((at, generation)) = e.next_event() else { break };
+                let Some((at, generation)) = e.next_event() else {
+                    break;
+                };
                 out.push((at.0, generation));
                 e.advance(at);
             }

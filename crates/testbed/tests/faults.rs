@@ -445,9 +445,8 @@ fn chunked_repair_no_worse_than_p2p_under_transient_faults() {
             ..Default::default()
         };
         let p2p = try_run_testbed_with_plan(&ApproG::default(), &w, &p2p_cfg, &plan).unwrap();
-        let ch =
-            try_run_testbed_with_plan(&ApproG::default(), &w, &chunked_sim(seed, true), &plan)
-                .unwrap();
+        let ch = try_run_testbed_with_plan(&ApproG::default(), &w, &chunked_sim(seed, true), &plan)
+            .unwrap();
         p2p_avail += p2p.availability;
         ch_avail += ch.availability;
         p2p_repair_s += p2p.repair_completion_mean_s;
@@ -479,7 +478,13 @@ fn storms_force_resumes_and_abandonments() {
     let nodes = w.instance.cloud().compute_count();
     // DC VMs 0-3 are their own regions; cloudlets form racks of four.
     let regions: Vec<u32> = (0..nodes)
-        .map(|i| if i < 4 { i as u32 } else { 4 + ((i - 4) / 4) as u32 })
+        .map(|i| {
+            if i < 4 {
+                i as u32
+            } else {
+                4 + ((i - 4) / 4) as u32
+            }
+        })
         .collect();
     let plan = FaultConfig {
         node_mtbf_s: 40.0,
