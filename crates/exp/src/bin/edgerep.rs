@@ -326,6 +326,9 @@ fn cmd_solve(args: &[String]) {
             })
             .collect();
     }
+    // Right-align names to the longest in the panel (never below 14, the
+    // width of the unsharded names) so the colons line up.
+    let width = panel.iter().map(|a| a.name().len()).fold(14, usize::max);
     for algorithm in panel {
         // Each algorithm starts from a clean registry so its --stats table
         // and registry dump reflect this run alone.
@@ -345,7 +348,7 @@ fn cmd_solve(args: &[String]) {
             ]);
             println!("{}", line.render());
         } else {
-            println!("{:>14}: {}", algorithm.name(), metrics);
+            println!("{:>width$}: {}", algorithm.name(), metrics);
         }
         if let Some(plan) = &fault_plan {
             // Worst-case static survival: every node with an outage window
@@ -365,7 +368,7 @@ fn cmd_solve(args: &[String]) {
                 1.0
             };
             println!(
-                "{:>14}  fault survival: {:.1} / {:.1} GB admitted volume ({:.0}%), {} node(s) faulted",
+                "{:>width$}  fault survival: {:.1} / {:.1} GB admitted volume ({:.0}%), {} node(s) faulted",
                 "", surviving, admitted, share * 100.0,
                 plan.node_outages.len()
             );
@@ -383,7 +386,7 @@ fn cmd_solve(args: &[String]) {
             };
             let report = run_testbed(algorithm.as_ref(), world, &sim);
             println!(
-                "{:>14}  testbed[{label}]: measured {:.1} of {:.1} GB planned, \
+                "{:>width$}  testbed[{label}]: measured {:.1} of {:.1} GB planned, \
                  mean {:.3} s, p95 {:.3} s, replication {:.1} GB in {:.1} s",
                 "",
                 report.measured_volume,

@@ -93,7 +93,9 @@ pub fn figure_to_svg(fig: &FigureData, m: usize, style: &PlotStyle) -> String {
         })
         .collect();
 
-    // Data ranges (y always starts at 0, the paper's convention).
+    // Data ranges. The y axis starts at 0, the paper's convention, unless
+    // a mean is negative (a net benefit, say): then it reaches down to the
+    // lowest whisker. Whiskers of non-negative data stop at 0.
     let x_min = fig.rows.first().map_or(0.0, |r| r.x);
     let x_max = fig.rows.last().map_or(1.0, |r| r.x);
     let x_span = (x_max - x_min).max(1e-9);
@@ -103,9 +105,19 @@ pub fn figure_to_svg(fig: &FigureData, m: usize, style: &PlotStyle) -> String {
         .map(|&(_, m, ci)| m + ci)
         .fold(1e-9_f64, f64::max)
         * 1.08;
+    let y_min = if series.iter().flatten().any(|&(_, m, _)| m < 0.0) {
+        series
+            .iter()
+            .flatten()
+            .map(|&(_, m, ci)| m - ci)
+            .fold(0.0_f64, f64::min)
+            * 1.08
+    } else {
+        0.0
+    };
 
     let x_of = |x: f64| ml + (x - x_min) / x_span * plot_w;
-    let y_of = |y: f64| mt + plot_h - (y / y_max) * plot_h;
+    let y_of = |y: f64| mt + plot_h - ((y - y_min) / (y_max - y_min)) * plot_h;
 
     let mut svg = String::with_capacity(8 * 1024);
     let _ = write!(
@@ -164,10 +176,20 @@ pub fn figure_to_svg(fig: &FigureData, m: usize, style: &PlotStyle) -> String {
         xml_escape(&fig.x_label)
     );
 
-    // Y ticks.
-    let step = nice_step(y_max, 5);
+    // Y ticks: stepped out from 0 in both directions, so 0 is always one.
+    let step = nice_step(y_max - y_min, 5);
+    let mut ticks = Vec::new();
+    let mut y = -step;
+    while y >= y_min - 1e-12 {
+        ticks.push(y);
+        y -= step;
+    }
     let mut y = 0.0;
     while y <= y_max + 1e-12 {
+        ticks.push(y);
+        y += step;
+    }
+    for y in ticks {
         let py = y_of(y);
         let _ = write!(
             svg,
@@ -186,7 +208,6 @@ pub fn figure_to_svg(fig: &FigureData, m: usize, style: &PlotStyle) -> String {
             py + 4.0,
             fmt_tick(y)
         );
-        y += step;
     }
     let _ = write!(
         svg,
@@ -202,7 +223,7 @@ pub fn figure_to_svg(fig: &FigureData, m: usize, style: &PlotStyle) -> String {
         for &(x, m, ci) in points {
             if ci > 0.0 {
                 let px = x_of(x);
-                let (top, bot) = (y_of(m + ci), y_of((m - ci).max(0.0)));
+                let (top, bot) = (y_of(m + ci), y_of((m - ci).max(y_min)));
                 let _ = write!(
                     svg,
                     r#"<line x1="{px}" y1="{top}" x2="{px}" y2="{bot}" stroke="{color}" stroke-width="1"/>"#
@@ -327,19 +348,70 @@ mod tests {
         assert!(svg.contains(">0.2<") || svg.contains(">0.20<"));
     }
 
+    /// `sample_fig()` with every Greedy-G mean shifted 150 below zero.
+    fn negative_fig() -> FigureData {
+        let mut fig = sample_fig();
+        for row in &mut fig.rows {
+            for v in &mut row.series[1].values {
+                v.mean -= 150.0;
+            }
+        }
+        fig
+    }
+
+    /// Every `attr="number"` value in `svg`.
+    fn numbers(svg: &str, attr: &str) -> Vec<f64> {
+        svg.split(&format!(" {attr}=\""))
+            .skip(1)
+            .map(|part| part.split('"').next().unwrap().parse().unwrap())
+            .collect()
+    }
+
     #[test]
     fn coordinates_stay_inside_canvas() {
         let style = PlotStyle::default();
-        let svg = sample_svg("volume", &style);
-        // Crude but effective: all cx attributes within [0, width].
-        for part in svg.split("cx=\"").skip(1) {
-            let val: f64 = part.split('"').next().unwrap().parse().unwrap();
-            assert!(val >= 0.0 && val <= style.width, "cx {val} escapes canvas");
+        let (ml, mr, mt, mb) = style.margins;
+        let (x_lo, x_hi) = (ml - 0.01, style.width - mr + 0.01);
+        let (y_lo, y_hi) = (mt - 0.01, style.height - mb + 0.01);
+        let negative = negative_fig();
+        for svg in [
+            sample_svg("volume", &style),
+            figure_to_svg(&negative, negative.metric("volume"), &style),
+        ] {
+            // Markers, polylines and whiskers stay inside the plot area.
+            for x in numbers(&svg, "cx") {
+                assert!((x_lo..=x_hi).contains(&x), "cx {x} escapes the plot");
+            }
+            for y in numbers(&svg, "cy") {
+                assert!((y_lo..=y_hi).contains(&y), "cy {y} escapes the plot");
+            }
+            for part in svg.split("<polyline points=\"").skip(1) {
+                for point in part.split('"').next().unwrap().split(' ') {
+                    let (x, y) = point.split_once(',').unwrap();
+                    let (x, y): (f64, f64) = (x.parse().unwrap(), y.parse().unwrap());
+                    assert!((x_lo..=x_hi).contains(&x), "polyline x {x} escapes");
+                    assert!((y_lo..=y_hi).contains(&y), "polyline y {y} escapes");
+                }
+            }
+            let whiskers = svg
+                .split("<line")
+                .filter(|l| l.contains("stroke-width=\"1\""));
+            for whisker in whiskers {
+                for y in [numbers(whisker, "y1"), numbers(whisker, "y2")].concat() {
+                    assert!((y_lo..=y_hi).contains(&y), "whisker y {y} escapes");
+                }
+            }
         }
-        for part in svg.split("cy=\"").skip(1) {
-            let val: f64 = part.split('"').next().unwrap().parse().unwrap();
-            assert!(val >= 0.0 && val <= style.height, "cy {val} escapes canvas");
-        }
+    }
+
+    #[test]
+    fn negative_data_extends_the_y_axis_below_zero() {
+        let fig = negative_fig();
+        let svg = figure_to_svg(&fig, fig.metric("volume"), &PlotStyle::default());
+        // Ticks step out from 0 in both directions.
+        assert!(svg.contains(">0</text>"), "{svg}");
+        assert!(svg.contains(">-100</text>"), "{svg}");
+        assert!(svg.contains(">200</text>"), "{svg}");
     }
 
     #[test]

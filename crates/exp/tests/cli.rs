@@ -621,3 +621,101 @@ fn fault_plans_are_validated_on_load() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `solve --shards R` labels run past 14 characters
+/// (`Popularity-G/sharded`); every `: volume` colon still sits in one
+/// column.
+#[test]
+fn sharded_solve_columns_line_up() {
+    let dir = std::env::temp_dir().join(format!("edgerep-cli-cols-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst = dir.join("inst.json");
+    let out = edgerep()
+        .args(["gen", "--seed", "1", "--network-size", "20", "-o"])
+        .arg(&inst)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen failed: {out:?}");
+    let out = edgerep()
+        .args(["solve", "--alg", "all", "--shards", "4", "-i"])
+        .arg(&inst)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "solve failed: {out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let columns: Vec<usize> = text.lines().filter_map(|l| l.find(": volume")).collect();
+    assert!(columns.len() >= 6, "{text}");
+    assert!(columns.iter().all(|&c| c == columns[0]), "{text}");
+    assert!(text.contains("Popularity-G/sharded: volume"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An outage on every node from t = 0 is a valid plan: both binaries run
+/// it to the end and report that nothing survives.
+#[test]
+fn all_nodes_down_fault_plan_runs_to_zero() {
+    let dir = std::env::temp_dir().join(format!("edgerep-cli-down-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let all_down = |nodes: usize| {
+        let outages: Vec<String> = (0..nodes)
+            .map(|v| format!(r#"{{"node": {v}, "down_at_s": 0.0}}"#))
+            .collect();
+        format!(r#"{{"node_outages": [{}]}}"#, outages.join(", "))
+    };
+    let no_panic = |out: &std::process::Output| {
+        assert!(out.status.success(), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{err}");
+    };
+
+    // A 20-node generated world has 19 compute nodes.
+    let inst = dir.join("inst.json");
+    let out = edgerep()
+        .args(["gen", "--seed", "1", "--network-size", "20", "-o"])
+        .arg(&inst)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen failed: {out:?}");
+    let plan = dir.join("solve-plan.json");
+    std::fs::write(&plan, all_down(19)).unwrap();
+    let out = edgerep()
+        .args(["solve", "--alg", "appro-g", "-i"])
+        .arg(&inst)
+        .arg("--fault-plan")
+        .arg(&plan)
+        .output()
+        .unwrap();
+    no_panic(&out);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("fault survival: 0.0 / ") && text.contains("19 node(s) faulted"),
+        "{text}"
+    );
+
+    // The Fig. 6 testbed world has 20 VMs: every volume and availability
+    // cell reads zero.
+    let plan = dir.join("testbed-plan.json");
+    std::fs::write(&plan, all_down(20)).unwrap();
+    let out = repro()
+        .args(["ext-availability", "--seeds", "1", "--fault-plan"])
+        .arg(&plan)
+        .output()
+        .unwrap();
+    no_panic(&out);
+    let text = String::from_utf8_lossy(&out.stdout);
+    let mut cells = 0;
+    for line in text.lines() {
+        let mut fields = line.split('|').map(str::trim);
+        // Table rows start with the K value; headings and titles do not.
+        if fields.next().is_none_or(|k| k.parse::<usize>().is_err()) {
+            continue;
+        }
+        for cell in fields {
+            let mean: f64 = cell.split('±').next().unwrap().trim().parse().unwrap();
+            assert_eq!(mean, 0.0, "{line}");
+            cells += 1;
+        }
+    }
+    assert!(cells >= 24, "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -40,4 +40,4 @@ pub mod region;
 pub mod solver;
 
 pub use region::{RegionPlan, Shard};
-pub use solver::{reconcile, sharded_appro_report, ShardConfig, ShardedSolver};
+pub use solver::{reconcile, ShardConfig, ShardedSolver};

@@ -23,7 +23,6 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use edgerep_core::admission::{AdmissionState, PlannedDemand};
-use edgerep_core::appro::{Appro, ApproConfig, ApproReport};
 use edgerep_core::PlacementAlgorithm;
 use edgerep_model::{Instance, Query, Solution};
 use edgerep_obs as obs;
@@ -230,60 +229,10 @@ fn try_admit(state: &mut AdmissionState, q: &Query) -> bool {
     true
 }
 
-/// Sharded counterpart of [`Appro::run`], exposing the dual certificate.
-///
-/// With `shards.regions <= 1` (or a single effective region) this *is*
-/// `Appro::with_config(config).run(inst)` — solution, `dual_bound`, and
-/// `theta` all byte-identical, which the R = 1 pin asserts for every
-/// `QueryOrder`. With R > 1, each shard runs its own primal-dual solve;
-/// every node's final capacity price comes from the shard that owns it
-/// and `dual_bound` is the sum of the shard bounds. That sum bounds the
-/// disjoint interior sub-problems *before* reconciliation re-enters
-/// border queries primally, so at R > 1 it is a diagnostic, not a
-/// certificate for the reconciled solution (DESIGN.md §9).
-pub fn sharded_appro_report(
-    inst: &Instance,
-    config: ApproConfig,
-    shards: ShardConfig,
-) -> ApproReport {
-    if shards.regions <= 1 {
-        return Appro::with_config(config).run(inst);
-    }
-    let _span = obs::span("shard", "shard.solve");
-    let plan = RegionPlan::build(inst, shards.regions);
-    obs::gauge("shard.regions").set(plan.region_count() as f64);
-    if plan.region_count() <= 1 {
-        return Appro::with_config(config).run(inst);
-    }
-    let shard_insts = plan.sub_instances(inst);
-    let reports = par_map(&shard_insts, |s| {
-        Appro::with_config(config).run(&s.instance)
-    });
-    let solutions: Vec<Solution> = reports.iter().map(|r| r.solution.clone()).collect();
-    let mut solution = plan.merge(inst, &shard_insts, &solutions);
-    if shards.reconcile {
-        reconcile(inst, &plan, &mut solution);
-    }
-    let mut theta = vec![0.0; inst.cloud().compute_count()];
-    for (shard, report) in shard_insts.iter().zip(&reports) {
-        for v in inst.cloud().compute_ids() {
-            if plan.node_region(v) == shard.region {
-                theta[v.index()] = report.theta[v.index()];
-            }
-        }
-    }
-    let dual_bound = reports.iter().map(|r| r.dual_bound).sum();
-    ApproReport {
-        solution,
-        dual_bound,
-        theta,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgerep_core::appro::{ApproG, QueryOrder};
+    use edgerep_core::appro::{ApproConfig, ApproG, QueryOrder};
     use edgerep_core::greedy::Greedy;
     use edgerep_model::{InstanceBuilder, RedundancyScheme};
     use edgerep_workload::{generate_instance, WorkloadParams};
@@ -306,8 +255,8 @@ mod tests {
     }
 
     #[test]
-    fn r1_is_byte_identical_for_every_query_order() {
-        let inst = world(5);
+    fn r1_wrapper_matches_the_inner_algorithm_exactly() {
+        let inst = world(9);
         for order in [
             QueryOrder::GlobalCheapestFirst,
             QueryOrder::Input,
@@ -318,32 +267,13 @@ mod tests {
                 order,
                 ..ApproConfig::default()
             };
-            let global = Appro::with_config(config).run(&inst);
-            let sharded = sharded_appro_report(&inst, config, ShardConfig::default());
-            assert_eq!(sharded.solution, global.solution, "order {order:?}");
+            let sharded = ShardedSolver::new(ApproG { config }, ShardConfig::default());
             assert_eq!(
-                sharded.dual_bound.to_bits(),
-                global.dual_bound.to_bits(),
+                sharded.solve(&inst),
+                ApproG { config }.solve(&inst),
                 "order {order:?}"
             );
-            assert_eq!(sharded.theta.len(), global.theta.len());
-            for (s, g) in sharded.theta.iter().zip(&global.theta) {
-                assert_eq!(s.to_bits(), g.to_bits(), "order {order:?}");
-            }
         }
-    }
-
-    #[test]
-    fn r1_wrapper_matches_the_inner_algorithm_exactly() {
-        let inst = world(9);
-        let sharded = ShardedSolver::new(
-            ApproG::default(),
-            ShardConfig {
-                regions: 1,
-                reconcile: true,
-            },
-        );
-        assert_eq!(sharded.solve(&inst), ApproG::default().solve(&inst));
     }
 
     #[test]

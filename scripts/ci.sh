@@ -50,7 +50,7 @@ cargo test --offline -q -p edgerep-testbed --test appro_equivalence
 cargo test --offline -q -p edgerep-core --test proptests solvers_tolerate_disconnected_topologies
 cargo test --offline -q -p edgerep-testbed --lib rolling::tests::replan_skips_on_empty_diff_and_reuses_layout_verbatim
 cargo test --offline -q -p edgerep-testbed --lib rolling::tests::cached_world_stamps_identical_instances
-cargo test --offline -q -p edgerep-shard --lib solver::tests::r1_is_byte_identical_for_every_query_order
+cargo test --offline -q -p edgerep-shard --lib solver::tests::r1_wrapper_matches_the_inner_algorithm_exactly
 
 # Smoke the traced figure regeneration: every line must be JSON and the
 # file must end in the registry-dump completion marker.
@@ -159,35 +159,31 @@ test -s "$trace_tmp/fig2.folded" \
 grep -q '"event":"profile.dump"' "$trace_tmp/fig2prof.ndjson" \
     || { echo "traced profile run has no profile.dump event" >&2; exit 1; }
 
-# Bench harness smoke: 1 warmup + 1 iteration per entry, schema-validated
-# JSON, and the regression gate runs clean against itself (report-only).
-# The full measured run + BENCH_<n>.json trajectory is scripts/bench.sh.
-echo "== bench smoke =="
-cargo run --offline -q -p edgerep-bench --release --bin bench -- run --smoke \
-    --out "$trace_tmp/BENCH_smoke.json"
+# The newest BENCH_<n>.json snapshot (scripts/bench.sh) must hold every
+# BENCHMARK.json workload untraced and traced, with no failed operation,
+# every end-to-end metric in the untraced runs, and in the traced runs the
+# layer metrics of Appro's select, the sharded solve and span coverage.
+echo "== BENCH snapshot check =="
 if command -v python3 > /dev/null; then
-    python3 - "$trace_tmp/BENCH_smoke.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "edgerep-bench/v1", doc["schema"]
-assert isinstance(doc["created_unix_s"], int)
-assert len(doc["entries"]) >= 7, len(doc["entries"])
-for e in doc["entries"]:
-    for key in ("name", "kind", "iters_per_sample", "samples",
-                "median_ns", "mad_ns", "mean_ns", "min_ns", "max_ns"):
-        assert key in e, (e, key)
+    python3 - <<'EOF'
+import glob, json, re
+bench = json.load(open("BENCHMARK.json"))
+snapshots = {int(m.group(1)): f for f in glob.glob("BENCH_*.json")
+             if (m := re.fullmatch(r"BENCH_(\d+)\.json", f))}
+assert snapshots, "no BENCH_<n>.json snapshot in the checkout"
+path = snapshots[max(snapshots)]
+runs = {(r["workload"], r["trace"]): r for r in json.load(open(path))["runs"]}
+expected = {(w["name"], t) for w in bench["workloads"] for t in (0, 1)}
+assert set(runs) == expected, (path, sorted(runs))
+layer = ("core.plans_per_commit", "shard.solve_sharded_ms", "trace.span_coverage")
+for (workload, trace), run in sorted(runs.items()):
+    result = run["result"]
+    assert result["failed"] == 0 and result["correct"], (path, workload, trace)
+    names = [m["name"] for m in bench["end_to_end"]] if trace == 0 else layer
+    missing = [n for n in names if n not in result["metrics"]]
+    assert not missing, (path, workload, trace, missing)
 EOF
 fi
-# The hot-path microbenches and the observability-overhead pair must stay
-# in the suite under their stable names — the BENCH_<n>.json trajectory
-# keys on them.
-for name in appro.candidate_scan rolling.incremental_replan shard.partition_solve \
-    obs_overhead.appro_g_disabled obs_overhead.appro_g_enabled; do
-    grep -q "\"name\": \"$name\"" "$trace_tmp/BENCH_smoke.json" \
-        || { echo "bench smoke output is missing $name" >&2; exit 1; }
-done
-cargo run --offline -q -p edgerep-bench --release --bin bench -- diff --report-only \
-    "$trace_tmp/BENCH_smoke.json" "$trace_tmp/BENCH_smoke.json" > /dev/null
 
 # Benchmark smoke: the benchmark compiles the workspace crates it calls
 # with plain rustc, so a workspace API change that breaks it fails here.
