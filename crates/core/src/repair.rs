@@ -81,8 +81,8 @@ pub fn pick_source(
 /// Every live node `d` can be copied from, nearest-first: the surviving
 /// replica holders sorted by delay to `target` (ties: lowest id), then the
 /// dataset's origin when it is alive and not already listed. The chunked
-/// transfer engine fetches from all of them in parallel; the legacy
-/// point-to-point model takes the head. Empty means the bytes are
+/// transfer preset fetches from all of them in parallel; the
+/// point-to-point preset takes the head. Empty means the bytes are
 /// unreachable until something recovers.
 pub fn pick_sources(
     inst: &Instance,

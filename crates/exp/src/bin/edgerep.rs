@@ -30,6 +30,7 @@ use edgerep_core::{
     popularity::Popularity,
     repair, BoxedAlgorithm,
 };
+use edgerep_exp::{out, outln};
 use edgerep_model::spec::InstanceSpec;
 use edgerep_model::{Instance, Metrics};
 use edgerep_obs as obs;
@@ -38,7 +39,7 @@ use edgerep_shard::{ShardConfig, ShardedSolver};
 use edgerep_testbed::analytics::AnalyticsKind;
 use edgerep_testbed::geo::Region;
 use edgerep_testbed::{
-    run_testbed, ChunkedConfig, FaultPlan, SimConfig, TestbedWorld, TransferModel,
+    try_run_testbed_with_plan, ChunkedConfig, FaultPlan, SimConfig, TestbedWorld, TransferModel,
 };
 use edgerep_workload::{generate_instance, WorkloadParams};
 
@@ -63,9 +64,10 @@ const USAGE: &str = "usage:
     --fault-plan FILE  load a JSON fault plan and report the admitted
                   volume that statically survives the planned outages
     --transfer MODEL  additionally run the discrete-event testbed on the
-                  solved instance under the chosen transfer engine (p2p =
-                  legacy point-to-point, chunked = resumable multi-source)
-                  and report the measured QoS
+                  solved instance under a preset of its transfer engine
+                  (p2p = whole-replica single-source flows, chunked =
+                  resumable multi-source chunks; both queue on a FIFO
+                  egress per node) and report the measured QoS
     --chunk-gb G  chunk size for --transfer chunked (default 0.25)";
 
 fn main() {
@@ -74,7 +76,7 @@ fn main() {
         Some("gen") => cmd_gen(&args[1..]),
         Some("inspect") => cmd_inspect(&args[1..]),
         Some("solve") => cmd_solve(&args[1..]),
-        Some("--help") | Some("-h") => println!("{USAGE}"),
+        Some("--help") | Some("-h") => outln!("{USAGE}"),
         _ => die(USAGE),
     }
 }
@@ -129,7 +131,7 @@ fn cmd_gen(args: &[String]) {
     let inst = generate_instance(&params, seed);
     let spec = InstanceSpec::from_instance(&inst);
     std::fs::write(out, spec.to_json()).unwrap_or_else(|e| die(&format!("write {out}: {e}")));
-    println!(
+    outln!(
         "wrote {out}: {} nodes, {} datasets, {} queries, K = {}",
         inst.cloud().graph().node_count(),
         inst.datasets().len(),
@@ -150,18 +152,18 @@ fn load_instance(args: &[String]) -> Instance {
 fn cmd_inspect(args: &[String]) {
     let inst = load_instance(args);
     let cloud = inst.cloud();
-    println!(
+    outln!(
         "edge cloud: {} data centers, {} cloudlets, {} graph nodes, {} links",
         cloud.data_center_count(),
         cloud.cloudlet_count(),
         cloud.graph().node_count(),
         cloud.graph().edge_count()
     );
-    println!(
+    outln!(
         "compute: {:.1} GHz available total",
         cloud.total_available()
     );
-    println!(
+    outln!(
         "workload: {} datasets ({:.1} GB total), {} queries demanding {:.1} GB, K = {}",
         inst.datasets().len(),
         inst.datasets().iter().map(|d| d.size_gb).sum::<f64>(),
@@ -170,7 +172,7 @@ fn cmd_inspect(args: &[String]) {
         inst.max_replicas()
     );
     if inst.queries().is_empty() {
-        println!("deadlines: n/a (no queries)");
+        outln!("deadlines: n/a (no queries)");
     } else {
         let tightest = inst
             .queries()
@@ -182,7 +184,7 @@ fn cmd_inspect(args: &[String]) {
             .iter()
             .map(|q| q.deadline)
             .fold(0.0, f64::max);
-        println!("deadlines: {tightest:.3}s .. {loosest:.3}s");
+        outln!("deadlines: {tightest:.3}s .. {loosest:.3}s");
     }
 }
 
@@ -214,7 +216,7 @@ fn panel_for(name: &str, single_dataset: bool) -> Vec<BoxedAlgorithm> {
 }
 
 /// Parses `--transfer p2p|chunked` (with an optional `--chunk-gb G` for
-/// the chunked engine) into a [`TransferModel`].
+/// the chunked preset) into a [`TransferModel`].
 fn parse_transfer(args: &[String]) -> Option<TransferModel> {
     let name = opt_value(args, "--transfer");
     if name.is_none() && opt_value(args, "--chunk-gb").is_some() {
@@ -346,9 +348,9 @@ fn cmd_solve(args: &[String]) {
                 ("algorithm", algorithm.name().into()),
                 ("metrics", metrics.to_json()),
             ]);
-            println!("{}", line.render());
+            outln!("{}", line.render());
         } else {
-            println!("{:>width$}: {}", algorithm.name(), metrics);
+            outln!("{:>width$}: {}", algorithm.name(), metrics);
         }
         if let Some(plan) = &fault_plan {
             // Worst-case static survival: every node with an outage window
@@ -367,15 +369,15 @@ fn cmd_solve(args: &[String]) {
             } else {
                 1.0
             };
-            println!(
+            outln!(
                 "{:>width$}  fault survival: {:.1} / {:.1} GB admitted volume ({:.0}%), {} node(s) faulted",
                 "", surviving, admitted, share * 100.0,
                 plan.node_outages.len()
             );
         }
         if let (Some(model), Some(world)) = (transfer, &world) {
-            // A/B the transfer engines on the solved instance: one
-            // measured discrete-event run under the chosen model.
+            // One measured discrete-event run of the solved instance
+            // under the chosen transfer preset.
             let label = match model {
                 TransferModel::PointToPoint => "p2p".to_owned(),
                 TransferModel::Chunked(c) => format!("chunked/{} GB", c.chunk_gb),
@@ -384,8 +386,10 @@ fn cmd_solve(args: &[String]) {
                 transfer: model,
                 ..Default::default()
             };
-            let report = run_testbed(algorithm.as_ref(), world, &sim);
-            println!(
+            let report =
+                try_run_testbed_with_plan(algorithm.as_ref(), world, &sim, &FaultPlan::empty())
+                    .unwrap_or_else(|e| die(&format!("testbed run failed: {e}")));
+            outln!(
                 "{:>width$}  testbed[{label}]: measured {:.1} of {:.1} GB planned, \
                  mean {:.3} s, p95 {:.3} s, replication {:.1} GB in {:.1} s",
                 "",
@@ -404,8 +408,8 @@ fn cmd_solve(args: &[String]) {
             obs::dump_registry("algorithm", algorithm.name());
         }
         if stats {
-            println!("--- metrics: {} ---", algorithm.name());
-            print!("{}", obs::render_summary());
+            outln!("--- metrics: {} ---", algorithm.name());
+            out!("{}", obs::render_summary());
         }
     }
     if let Some(path) = profile {
@@ -413,8 +417,8 @@ fn cmd_solve(args: &[String]) {
         let prof = obs::take_profile();
         std::fs::write(path, obs::render_folded(&prof))
             .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        print!("{}", obs::render_self_table(&prof));
-        println!("[folded stacks written to {path}]");
+        out!("{}", obs::render_self_table(&prof));
+        outln!("[folded stacks written to {path}]");
         let top = prof.top_self().map(|n| n.name.clone()).unwrap_or_default();
         obs::emit(
             "profile",

@@ -18,12 +18,10 @@
 //! folded stacks (`path self_us`, flamegraph-ready) go to `FILE` and the
 //! sorted self-time table is printed after the figures.
 
-use std::io::Write as _;
-
 use edgerep_exp::figures;
 use edgerep_exp::plot::{figure_to_svg, PlotStyle};
 use edgerep_exp::report::{render_csv, render_markdown, render_metrics_csv, render_text};
-use edgerep_exp::{extensions, FigureData};
+use edgerep_exp::{extensions, outln, FigureData};
 use edgerep_obs as obs;
 use edgerep_testbed::{FaultPlan, TestbedConfig};
 
@@ -143,7 +141,7 @@ fn main() {
                 figures_wanted.push(f.to_owned())
             }
             "--help" | "-h" => {
-                println!("{}", usage());
+                outln!("{}", usage());
                 return;
             }
             other => die(&format!("unknown argument '{other}'\n{}", usage())),
@@ -178,13 +176,11 @@ fn main() {
         obs::enable_profiling();
     }
 
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
     for fig in &figures_wanted {
         obs::reset_registry();
         let data = match fig.as_str() {
             "fig1" => {
-                let _ = writeln!(out, "{}", figures::fig1_text());
+                outln!("{}", figures::fig1_text());
                 if trace_path.is_some() {
                     // Topology figures run no algorithms; the (empty)
                     // dump still marks the figure boundary in the trace.
@@ -193,7 +189,7 @@ fn main() {
                 continue;
             }
             "fig6" => {
-                let _ = writeln!(out, "{}", figures::fig6_text());
+                outln!("{}", figures::fig6_text());
                 if trace_path.is_some() {
                     obs::dump_registry("figure", "fig6");
                 }
@@ -234,32 +230,32 @@ fn main() {
             // closing `dump.done` line marks the figure as complete.
             obs::dump_registry("figure", &data.id);
         }
-        let _ = writeln!(out, "{}", render_text(&data));
+        outln!("{}", render_text(&data));
         if let Some(dir) = &csv_dir {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir {dir}: {e}")));
             let path = format!("{dir}/{}.csv", data.id);
             std::fs::write(&path, render_csv(&data))
                 .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-            let _ = writeln!(out, "[csv written to {path}]");
+            outln!("[csv written to {path}]");
             let mpath = format!("{dir}/{}_metrics.csv", data.id);
             std::fs::write(&mpath, render_metrics_csv(&obs::snapshot()))
                 .unwrap_or_else(|e| die(&format!("write {mpath}: {e}")));
-            let _ = writeln!(out, "[metrics csv written to {mpath}]\n");
+            outln!("[metrics csv written to {mpath}]\n");
             if let Some(ts) = &data.timeseries {
                 let tpath = format!("{dir}/{}_timeseries.csv", data.id);
                 std::fs::write(&tpath, ts).unwrap_or_else(|e| die(&format!("write {tpath}: {e}")));
-                let _ = writeln!(out, "[timeseries csv written to {tpath}]\n");
+                outln!("[timeseries csv written to {tpath}]\n");
             }
         }
         if let Some(dir) = &svg_dir {
-            write_svgs(&data, dir, &mut out);
+            write_svgs(&data, dir);
         }
         if let Some(dir) = &md_dir {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir {dir}: {e}")));
             let path = format!("{dir}/{}.md", data.id);
             std::fs::write(&path, render_markdown(&data))
                 .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-            let _ = writeln!(out, "[markdown written to {path}]\n");
+            outln!("[markdown written to {path}]\n");
         }
     }
     if let Some(path) = &profile_path {
@@ -267,8 +263,8 @@ fn main() {
         let profile = obs::take_profile();
         std::fs::write(path, obs::render_folded(&profile))
             .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        let _ = writeln!(out, "{}", obs::render_self_table(&profile));
-        let _ = writeln!(out, "[folded stacks written to {path}]");
+        outln!("{}", obs::render_self_table(&profile));
+        outln!("[folded stacks written to {path}]");
         // Under --trace the dump also lands in the NDJSON stream, so
         // automation can grep `profile.dump` instead of parsing stdout.
         let top = profile
@@ -290,16 +286,16 @@ fn main() {
     }
 }
 
-fn write_svgs(data: &FigureData, dir: &str, out: &mut impl std::io::Write) {
+fn write_svgs(data: &FigureData, dir: &str) {
     std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir {dir}: {e}")));
     let style = PlotStyle::default();
     for (m, metric) in data.metrics.iter().enumerate() {
         let path = format!("{dir}/{}_{}.svg", data.id, metric.key);
         std::fs::write(&path, figure_to_svg(data, m, &style))
             .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        let _ = writeln!(out, "[svg written to {path}]");
+        outln!("[svg written to {path}]");
     }
-    let _ = writeln!(out);
+    outln!();
 }
 
 fn die(msg: &str) -> ! {

@@ -22,9 +22,8 @@ use edgerep_model::RedundancyScheme;
 use edgerep_shard::{ShardConfig, ShardedSolver};
 use edgerep_testbed::rolling::{run_rolling, ReplanPolicy, RollingConfig};
 use edgerep_testbed::{
-    render_slo_csv, run_testbed, run_testbed_with_faults, try_run_testbed_with_plan, ChunkedConfig,
-    ConsistencyConfig, FaultConfig, FaultPlan, NodeFailure, SimConfig, SloSample, TestbedConfig,
-    TransferModel,
+    render_slo_csv, try_run_testbed_with_plan, ChunkedConfig, ConsistencyConfig, FaultConfig,
+    FaultPlan, NodeFailure, SimConfig, SloSample, TestbedConfig, TransferModel,
 };
 use edgerep_workload::params::TopologyModel;
 use edgerep_workload::{generate_instance, WorkloadParams};
@@ -107,7 +106,9 @@ pub fn ext_net_benefit(seeds: usize) -> FigureData {
             }),
             ..Default::default()
         };
-        let report = run_testbed(&ApproG::default(), &world, &sim);
+        let report =
+            try_run_testbed_with_plan(&ApproG::default(), &world, &sim, &FaultPlan::empty())
+                .expect("Appro-G plans validate");
         (report.measured_volume, report.consistency_gb)
     });
     let rows = ks
@@ -248,7 +249,9 @@ pub fn ext_faults(seeds: usize) -> FigureData {
             seed,
             ..Default::default()
         };
-        let clean = run_testbed(&ApproG::default(), &world, &sim);
+        let clean =
+            try_run_testbed_with_plan(&ApproG::default(), &world, &sim, &FaultPlan::empty())
+                .expect("Appro-G plans validate");
         // Kill the cloudlet the clean plan leans on hardest.
         let loads = clean.plan.node_loads(&world.instance);
         let busiest = loads
@@ -258,15 +261,12 @@ pub fn ext_faults(seeds: usize) -> FigureData {
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
             .map(|(i, _)| edgerep_model::ComputeNodeId(i as u32))
             .expect("testbed has cloudlets");
-        let faulty = run_testbed_with_faults(
-            &ApproG::default(),
-            &world,
-            &sim,
-            &[NodeFailure {
-                node: busiest,
-                at_s: 0.0,
-            }],
-        );
+        let fault = FaultPlan::from_failures(&[NodeFailure {
+            node: busiest,
+            at_s: 0.0,
+        }]);
+        let faulty = try_run_testbed_with_plan(&ApproG::default(), &world, &sim, &fault)
+            .expect("the busiest cloudlet is a valid fault target");
         [
             [clean.measured_volume, clean.measured_throughput],
             [faulty.measured_volume, faulty.measured_throughput],
@@ -308,8 +308,9 @@ fn availability_fault_profile(fraction: f64, seed: u64) -> FaultConfig {
 }
 
 /// The three transfer/repair arms every availability figure compares:
-/// no repair, point-to-point repair (the legacy engine), and chunked
-/// resumable multi-source repair. `(label, repair on, chunked engine)`.
+/// no repair, point-to-point repair, and chunked resumable multi-source
+/// repair — two presets of one transfer engine. `(label, repair on,
+/// chunked preset)`.
 const AVAIL_ARMS: [(&str, bool, bool); 3] = [
     ("no-repair", false, false),
     ("repair", true, false),
@@ -326,11 +327,11 @@ fn arm_transfer(chunked: bool) -> TransferModel {
 
 /// Measured volume and availability ([`AVAILABILITY_METRICS`]) of all
 /// three [`AVAIL_ARMS`] for one (world, plan) cell.
-/// The plain availability figure keeps NIC contention off so the
-/// point-to-point and chunked engines run the same uncontended physics
-/// and differ only in how they survive faults (with no faults they are
-/// byte-identical — pinned in tests); the storm figure turns it on so
-/// flows last long enough for correlated bursts to catch them mid-air.
+/// Both presets share the engine's egress physics, so the arms differ
+/// only in how they survive faults (with no faults they are
+/// byte-identical — pinned in tests). The plain availability figure
+/// keeps egress contention off; the storm figure turns it on so flows
+/// queue long enough for correlated bursts to catch them mid-air.
 fn availability_cells(
     world: &edgerep_testbed::TestbedWorld,
     plan: &FaultPlan,
@@ -1102,7 +1103,7 @@ mod tests {
         assert_eq!(clean.series.len(), 12); // K ∈ {1..4} × three arms
         for arms in clean.series.chunks(3) {
             // Without faults all three arms are byte-identical: repair is
-            // inert, and the chunked engine coalesces to the same
+            // inert, and the chunked preset coalesces to the same
             // point-to-point physics (the sim pins this bitwise too).
             assert_eq!(
                 arms[0].values[vol].mean, arms[1].values[vol].mean,

@@ -14,6 +14,8 @@
 //! * [`extensions`] — extension experiments beyond the paper's figures.
 //! * [`report`] / [`plot`] — text, CSV, markdown and SVG rendering, one
 //!   panel, column group or chart per declared metric.
+//! * [`stdout`] — the binaries' stdout, which ends quietly when the
+//!   reader closes the pipe.
 //!
 //! The `repro` binary ties it together:
 //!
@@ -30,6 +32,7 @@ pub mod plot;
 pub mod report;
 pub mod runner;
 pub mod stats;
+pub mod stdout;
 
 pub use figures::{FigureData, FigureRow};
 pub use stats::Summary;

@@ -12,7 +12,7 @@
 
 use edgerep_core::BoxedAlgorithm;
 use edgerep_obs as obs;
-use edgerep_testbed::{run_testbed, SimConfig, TestbedConfig};
+use edgerep_testbed::{try_run_testbed_with_plan, FaultPlan, SimConfig, TestbedConfig};
 use edgerep_workload::{generate_instance, WorkloadParams};
 
 use crate::figures::Series;
@@ -107,7 +107,9 @@ pub fn run_testbed_point(
             seed: seed as u64,
             ..*sim
         };
-        let report = run_testbed(panel[ai].as_ref(), world, &sim_cfg);
+        let alg = panel[ai].as_ref();
+        let report = try_run_testbed_with_plan(alg, world, &sim_cfg, &FaultPlan::empty())
+            .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
         [report.measured_volume, report.measured_throughput]
     });
     Series::per_arm(panel.iter().map(|a| a.name()), &per_seed)

@@ -719,3 +719,97 @@ fn all_nodes_down_fault_plan_runs_to_zero() {
     assert!(cells >= 24, "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reader that closes the pipe early (`| head -1`) ends both binaries
+/// quietly instead of panicking on the next print.
+#[test]
+fn closed_stdout_pipe_ends_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join(format!("edgerep-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst = dir.join("inst.json");
+    let out = edgerep()
+        .args(["gen", "--seed", "1", "-o"])
+        .arg(&inst)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen failed: {out:?}");
+    // Each command prints its first line well before its next one (the
+    // next algorithm's solve, the next figure's runs), so the next print
+    // meets a closed pipe.
+    let solve = {
+        let mut c = edgerep();
+        c.args(["solve", "--alg", "all", "--transfer", "p2p", "-i"])
+            .arg(&inst);
+        c
+    };
+    let figures = {
+        let mut c = repro();
+        c.args(["fig2", "fig3", "--quick"]);
+        c
+    };
+    for mut cmd in [solve, figures] {
+        let mut child = cmd
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut first = String::new();
+        // The reader, and with it the pipe's read end, drops here.
+        BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut first)
+            .unwrap();
+        assert!(!first.is_empty(), "{cmd:?} printed nothing");
+        let mut err = String::new();
+        child
+            .stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut err)
+            .unwrap();
+        let status = child.wait().unwrap();
+        assert!(!err.contains("panicked"), "{cmd:?}: {err}");
+        assert_ne!(status.code(), Some(101), "{cmd:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Both transfer presets run on the one engine and its FIFO egress, so
+/// without faults `--transfer p2p` and `--transfer chunked` measure the
+/// same volume for every algorithm.
+#[test]
+fn transfer_presets_measure_the_same_volumes() {
+    let dir = std::env::temp_dir().join(format!("edgerep-cli-xfer-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst = dir.join("inst.json");
+    let out = edgerep()
+        .args(["gen", "--seed", "1", "-o"])
+        .arg(&inst)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen failed: {out:?}");
+    let measured = |model: &str| -> Vec<String> {
+        let out = edgerep()
+            .args(["solve", "--alg", "all", "--transfer", model, "-i"])
+            .arg(&inst)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter_map(|l| l.split("]: ").nth(1))
+            .map(str::to_owned)
+            .collect()
+    };
+    let p2p = measured("p2p");
+    assert_eq!(p2p.len(), 6, "{p2p:?}");
+    assert!(
+        p2p[0].starts_with("measured 167.0 of 194.1 GB planned"),
+        "Appro-G: {}",
+        p2p[0]
+    );
+    assert_eq!(p2p, measured("chunked"));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -32,10 +32,10 @@
 //!   new-data ratio at a dataset's origin crosses a threshold, updates
 //!   propagate to every replica and the traffic is accounted.
 
-//! * [`transfer`] — the chunked, resumable multi-source transfer engine:
-//!   per-replica chunk ledgers, rarest-chunk-first swarm fetch, strict
-//!   priority tiers (immediate / scheduled / background) over a per-link
-//!   max-min fair-share fluid bandwidth model, selected per run via
+//! * [`transfer`] — the simulator's one transfer engine: per-replica
+//!   chunk ledgers, rarest-chunk-first swarm fetch, and strict priority
+//!   tiers (immediate / scheduled / background) on a FIFO egress per
+//!   node, with point-to-point and chunked presets selected per run via
 //!   [`sim::SimConfig::transfer`];
 //! * [`rolling`] / [`predict`] — multi-epoch operation under workload
 //!   drift: `Static` / `Periodic` / `Predictive` replanning policies,
@@ -56,8 +56,8 @@ pub mod transfer;
 
 pub use fault::{FaultConfig, FaultPlan, FaultPlanError, LinkFault, NodeOutage};
 pub use sim::{
-    run_testbed, run_testbed_with_faults, try_run_testbed_with_faults, try_run_testbed_with_plan,
-    ConsistencyConfig, DebugTraceConfig, NodeFailure, SimConfig, SimError, TestbedReport,
+    try_run_testbed_with_plan, ConsistencyConfig, DebugTraceConfig, NodeFailure, SimConfig,
+    SimError, TestbedReport,
 };
 pub use slo::{render_slo_csv, SloSample};
 pub use topology::{build_fig6_topology, build_testbed_instance, TestbedConfig, TestbedWorld};

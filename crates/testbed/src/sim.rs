@@ -21,6 +21,8 @@
 //! deadlines here — exactly the gap between `Appro` and `Popularity`
 //! in Figs. 7 and 8.
 
+use std::collections::VecDeque;
+
 use edgerep_core::{repair, PlacementAlgorithm};
 use edgerep_ec as ec;
 use edgerep_model::{ComputeNodeId, DatasetId, QueryId, Solution};
@@ -140,8 +142,9 @@ impl From<FaultPlanError> for SimError {
 pub struct SimConfig {
     /// Query arrival rate (Poisson), queries per second.
     pub arrival_rate_per_s: f64,
-    /// Serialize result transfers on each node's egress NIC (FIFO). When
-    /// off, transfers overlap freely (pure path-delay model).
+    /// Egress contention: each node's egress serves one transfer at a
+    /// time, highest [`FlowTier`] first, then in begin order. When off,
+    /// transfers overlap freely (pure path-delay model).
     pub nic_contention: bool,
     /// Optional dynamic-data consistency behaviour.
     pub consistency: Option<ConsistencyConfig>,
@@ -164,11 +167,9 @@ pub struct SimConfig {
     /// reacts to node deaths; the scrubber also catches losses that
     /// repair abandoned or that happened while repair was off.
     pub scrub_interval_s: Option<f64>,
-    /// Which data-movement model the run uses: the legacy point-to-point
-    /// flows, or the chunked resumable multi-source engine
-    /// ([`crate::transfer`]). With the chunked engine,
-    /// [`SimConfig::nic_contention`] `false` maps to uncontended
-    /// (infinite) NICs in the fluid model.
+    /// Which preset of the transfer engine ([`crate::transfer`]) moves
+    /// the run's data: whole-replica point-to-point flows, or chunked,
+    /// resumable, multi-source transfers.
     pub transfer: TransferModel,
     /// RNG seed for arrivals (placement is deterministic given the world).
     pub seed: u64,
@@ -249,8 +250,8 @@ pub struct TestbedReport {
     pub repair_retries: usize,
     /// Query result transfers deferred by backoff (partitioned path).
     pub transfer_retries: usize,
-    /// Interrupted chunked transfers that relaunched with verified chunks
-    /// intact instead of restarting from zero.
+    /// Interrupted transfers that relaunched with verified chunks intact
+    /// instead of restarting from zero.
     pub transfer_resumes: usize,
     /// Volume those resumes did **not** re-transfer: GB of already
     /// verified chunks carried across interruptions.
@@ -265,9 +266,9 @@ pub struct TestbedReport {
     /// landing (across retries, backoff, and resumed chunks), seconds.
     /// `0.0` when no repair completed.
     pub repair_completion_mean_s: f64,
-    /// Mean chunked-flow completion time per priority tier
-    /// (`[immediate, scheduled, background]`), seconds; all zero under
-    /// the point-to-point model.
+    /// Mean transfer completion time per priority tier
+    /// (`[immediate, scheduled, background]`), seconds; zero for a tier
+    /// that moved nothing.
     pub tier_completion_mean_s: [f64; 3],
     /// Total node-seconds spent down over the run.
     pub node_downtime_s: f64,
@@ -283,8 +284,8 @@ pub struct TestbedReport {
     /// Mean simulated time demands spent queued for compute, seconds
     /// (demands that started immediately contribute zero).
     pub mean_queue_wait_s: f64,
-    /// Mean simulated result-transfer time (including NIC serialization
-    /// wait), seconds.
+    /// Mean simulated result-transfer time (including egress wait),
+    /// seconds.
     pub mean_transfer_s: f64,
     /// Discrete events processed by the simulator loop.
     pub events_processed: u64,
@@ -339,9 +340,9 @@ enum Event {
     RetryTransfer {
         job: usize,
     },
-    /// Wake the chunked transfer engine at its next predicted chunk
-    /// completion. Stale generations (the engine settled again since the
-    /// push) are no-ops: the engine is advanced before every event anyway.
+    /// Wake the transfer engine at its next predicted chunk completion.
+    /// Stale generations (the engine settled again since the push) are
+    /// no-ops: the engine is advanced before every event anyway.
     FlowProgress {
         generation: u64,
     },
@@ -352,38 +353,66 @@ enum Event {
     Scrub,
 }
 
-/// What a deferred transfer job carries.
-#[derive(Debug, Clone, Copy)]
-enum XferKind {
-    /// A query result headed home (blocked by a partition when created).
-    Result { q: QueryId, demand: usize },
-    /// A repair copy restoring a replica of `dataset`.
-    Repair { dataset: DatasetId },
+impl Event {
+    /// `(kind, a, b)` for the debug ring.
+    fn trace_key(&self) -> (&'static str, i64, i64) {
+        match self {
+            Event::Arrival { q } => ("arrival", q.index() as i64, -1),
+            Event::ProcDone { q, node, .. } => ("proc_done", q.index() as i64, node.index() as i64),
+            Event::TransferDone { q, demand } => {
+                ("transfer_done", q.index() as i64, *demand as i64)
+            }
+            Event::ConsistencyCheck => ("consistency_check", -1, -1),
+            Event::NodeDown { node } => ("node_down", node.index() as i64, -1),
+            Event::NodeUp { node } => ("node_up", node.index() as i64, -1),
+            Event::LinkDown { a, b } => ("link_down", a.index() as i64, b.index() as i64),
+            Event::LinkUp { a, b } => ("link_up", a.index() as i64, b.index() as i64),
+            Event::RepairDone { job } => ("repair_done", *job as i64, -1),
+            Event::RetryTransfer { job } => ("retry_transfer", *job as i64, -1),
+            Event::FlowProgress { generation } => ("flow_progress", *generation as i64, -1),
+            Event::SloSample => ("slo_sample", -1, -1),
+            Event::Scrub => ("scrub", -1, -1),
+        }
+    }
 }
 
-/// One transfer that may need retrying: repair copies always start here;
-/// result transfers land here only when their path is partitioned.
+/// What a transfer job carries.
 #[derive(Debug, Clone, Copy)]
+enum XferKind {
+    /// A query result headed home from the node that computed it.
+    Result {
+        q: QueryId,
+        demand: usize,
+        source: ComputeNodeId,
+    },
+    /// A repair copy restoring a replica of `dataset`. `dest_epoch` is the
+    /// target's epoch at planning time: a mismatch later means the target
+    /// died and the job is void.
+    Repair { dataset: DatasetId, dest_epoch: u32 },
+}
+
+/// One result or repair transfer, retried with backoff while it has no
+/// usable source.
+#[derive(Debug, Clone)]
 struct XferJob {
     kind: XferKind,
-    source: ComputeNodeId,
     dest: ComputeNodeId,
     gb: f64,
-    /// Destination epoch at planning time (repairs only): a mismatch
-    /// later means the target died and the job is void.
-    dest_epoch: u32,
     attempts: u32,
-    /// Launched, delivered, or abandoned — no further retries. The
-    /// chunked engine keeps jobs unresolved across interruptions until
-    /// they complete or are abandoned, so repair planning still sees
-    /// parked jobs as reserving their replica slot.
+    /// Delivered or abandoned — no further retries. Jobs stay unresolved
+    /// across interruptions, so repair planning still sees parked jobs as
+    /// reserving their replica slot.
     resolved: bool,
     /// When the job was created (repair completion latency is measured
     /// from here, across every retry and resume).
     born: SimTime,
+    /// The ledger of an interrupted transfer, waiting to resume.
+    parked: Option<ChunkLedger>,
+    /// The job's engine transfer id while one is in flight.
+    active: Option<usize>,
 }
 
-/// Who owns a chunked-engine transfer.
+/// Who owns an engine transfer.
 #[derive(Debug, Clone, Copy)]
 enum EngineOwner {
     /// Entry in the transfer-job table (result or repair).
@@ -400,191 +429,6 @@ enum EngineOwner {
         source: ComputeNodeId,
         dest: ComputeNodeId,
     },
-}
-
-/// The chunked transfer engine plus the simulator-side bookkeeping that
-/// maps engine transfer ids back to jobs.
-struct ChunkedState {
-    eng: transfer::Engine,
-    /// Engine transfer id → owner, parallel to the engine's table.
-    jobs: Vec<EngineOwner>,
-    /// Last `FlowProgress` generation pushed; a matching generation means
-    /// the event is already queued at the right instant.
-    last_pushed_gen: u64,
-}
-
-/// Builds the [`SourcePath`] for one (source, dest) pair, or `None` when
-/// the path is partitioned right now.
-fn source_path(
-    cloud: &edgerep_model::EdgeCloud,
-    fault_plan: &FaultPlan,
-    source: ComputeNodeId,
-    dest: ComputeNodeId,
-    now: SimTime,
-) -> Option<SourcePath> {
-    let factor = fault_plan.link_factor(source, dest, now.as_secs_f64());
-    if factor.is_infinite() {
-        return None;
-    }
-    Some(SourcePath {
-        node: source.index(),
-        delay_s_per_gb: cloud.min_delay(source, dest),
-        factor,
-    })
-}
-
-/// Every reachable live holder of `dataset` (nearest first), as engine
-/// source paths; truncated to the single nearest when multi-source fetch
-/// is off.
-#[allow(clippy::too_many_arguments)]
-fn repair_source_paths(
-    inst: &edgerep_model::Instance,
-    fault_plan: &FaultPlan,
-    live_sol: &Solution,
-    alive: &[bool],
-    dataset: DatasetId,
-    dest: ComputeNodeId,
-    now: SimTime,
-    multi_source: bool,
-) -> Vec<SourcePath> {
-    let mut srcs: Vec<SourcePath> = repair::pick_sources(inst, live_sol, alive, dataset, dest)
-        .into_iter()
-        .filter_map(|s| source_path(inst.cloud(), fault_plan, s, dest, now))
-        .collect();
-    if !multi_source {
-        srcs.truncate(1);
-    }
-    srcs
-}
-
-/// Interrupts an in-flight chunked transfer: the ledger (verified chunks
-/// intact unless resume is off) is parked on the job and a retry is
-/// scheduled immediately — the retry handler owns backoff and abandonment.
-fn park_job(
-    ch: &mut ChunkedState,
-    now: SimTime,
-    tid: usize,
-    job: usize,
-    job_ledger: &mut [Option<ChunkLedger>],
-    job_active: &mut [Option<usize>],
-    queue: &mut EventQueue<Event>,
-) {
-    let mut ledger = ch.eng.cancel(now, tid);
-    if !ch.eng.config().resume {
-        ledger.reset();
-    }
-    job_ledger[job] = Some(ledger);
-    job_active[job] = None;
-    queue.push(now, Event::RetryTransfer { job });
-}
-
-/// Re-prices every in-flight chunked flow after a link transition: factors
-/// are re-read from the fault plan, freshly partitioned flows are parked
-/// (results, repairs) or dropped (consistency pushes), and repair swarms
-/// are recomputed over the currently reachable holders.
-#[allow(clippy::too_many_arguments)]
-fn refresh_link_flows(
-    ch: &mut ChunkedState,
-    now: SimTime,
-    inst: &edgerep_model::Instance,
-    fault_plan: &FaultPlan,
-    live_sol: &Solution,
-    alive: &[bool],
-    xfer_jobs: &mut [XferJob],
-    job_ledger: &mut [Option<ChunkLedger>],
-    job_active: &mut [Option<usize>],
-    queue: &mut EventQueue<Event>,
-) {
-    for tid in 0..ch.jobs.len() {
-        if ch.eng.is_done(tid) {
-            continue;
-        }
-        match ch.jobs[tid] {
-            EngineOwner::Consistency { source, dest } | EngineOwner::Gather { source, dest } => {
-                match source_path(inst.cloud(), fault_plan, source, dest, now) {
-                    Some(p) => ch.eng.set_sources(now, tid, &[p]),
-                    None => {
-                        ch.eng.cancel(now, tid);
-                    }
-                }
-            }
-            EngineOwner::Job(job) => {
-                let j = xfer_jobs[job];
-                match j.kind {
-                    XferKind::Result { .. } => {
-                        match source_path(inst.cloud(), fault_plan, j.source, j.dest, now) {
-                            Some(p) => ch.eng.set_sources(now, tid, &[p]),
-                            None => {
-                                park_job(ch, now, tid, job, job_ledger, job_active, queue);
-                            }
-                        }
-                    }
-                    XferKind::Repair { dataset } => {
-                        let srcs = repair_source_paths(
-                            inst,
-                            fault_plan,
-                            live_sol,
-                            alive,
-                            dataset,
-                            j.dest,
-                            now,
-                            ch.eng.config().multi_source,
-                        );
-                        if srcs.is_empty() {
-                            park_job(ch, now, tid, job, job_ledger, job_active, queue);
-                        } else {
-                            ch.eng.set_sources(now, tid, &srcs);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Drains engine completions due by `now` (pushing the same
-/// `TransferDone` / `RepairDone` events the legacy model uses, at the
-/// completion instant) and keeps exactly one fresh `FlowProgress` event
-/// queued at the engine's next predicted completion.
-#[allow(clippy::too_many_arguments)]
-fn pump_engine(
-    ch: &mut ChunkedState,
-    now: SimTime,
-    queue: &mut EventQueue<Event>,
-    xfer_jobs: &mut [XferJob],
-    job_active: &mut [Option<usize>],
-    transfer_durations: &mut Vec<f64>,
-    tier_sum_s: &mut [f64; 3],
-    tier_count: &mut [u64; 3],
-) {
-    for tid in ch.eng.advance(now) {
-        let dur = now.secs_since(ch.eng.started(tid));
-        let ti = ch.eng.tier(tid).index();
-        tier_sum_s[ti] += dur;
-        tier_count[ti] += 1;
-        match ch.jobs[tid] {
-            EngineOwner::Job(job) => {
-                xfer_jobs[job].resolved = true;
-                job_active[job] = None;
-                match xfer_jobs[job].kind {
-                    XferKind::Result { q, demand } => {
-                        transfer_durations.push(dur);
-                        queue.push(now, Event::TransferDone { q, demand });
-                    }
-                    XferKind::Repair { .. } => {
-                        queue.push(now, Event::RepairDone { job });
-                    }
-                }
-            }
-            EngineOwner::Consistency { .. } | EngineOwner::Gather { .. } => {}
-        }
-    }
-    if let Some((at, generation)) = ch.eng.next_event() {
-        if generation != ch.last_pushed_gen {
-            ch.last_pushed_gen = generation;
-            queue.push(at, Event::FlowProgress { generation });
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -613,44 +457,97 @@ struct Waiting {
     enqueued: SimTime,
 }
 
-/// Runs one full testbed experiment without fault injection.
-pub fn run_testbed(
-    alg: &dyn PlacementAlgorithm,
-    world: &TestbedWorld,
-    cfg: &SimConfig,
-) -> TestbedReport {
-    run_testbed_with_faults(alg, world, cfg, &[])
+/// Everything a run counts, flushed into the [`TestbedReport`] at drain.
+#[derive(Default)]
+struct Tally {
+    replication_gb: f64,
+    replication_time_s: f64,
+    /// `(query, arrival, finish)` per completed query.
+    completed: Vec<(QueryId, SimTime, SimTime)>,
+    answers: Vec<(QueryId, AnalyticsResult)>,
+    slo_series: Vec<SloSample>,
+    consistency_gb: f64,
+    consistency_rounds: usize,
+    failovers: usize,
+    degraded_reads: usize,
+    queries_lost: usize,
+    repairs_scheduled: usize,
+    repairs_completed: usize,
+    repair_gb: f64,
+    repair_retries: usize,
+    transfer_retries: usize,
+    transfer_resumes: usize,
+    chunk_gb_saved: f64,
+    abandoned_dead_source: usize,
+    abandoned_partitioned: usize,
+    repair_durations: Vec<f64>,
+    /// Result-transfer durations; summed in sorted order at the end so
+    /// the mean is independent of completion order.
+    transfer_durations: Vec<f64>,
+    tier_sum_s: [f64; 3],
+    tier_count: [u64; 3],
+    node_downtime_s: f64,
+    qos_miss_dumps: usize,
+    events_processed: u64,
+    peak_event_queue: usize,
+    demands_started: u64,
+    demands_queued: u64,
+    queue_wait_sum_s: f64,
+    last_event_t: SimTime,
 }
 
-/// Runs one full testbed experiment with injected permanent node
-/// failures.
-///
-/// # Panics
-/// Panics on a malformed fault list or an infeasible controller plan —
-/// use [`try_run_testbed_with_faults`] to get a [`SimError`] instead.
-pub fn run_testbed_with_faults(
-    alg: &dyn PlacementAlgorithm,
-    world: &TestbedWorld,
-    cfg: &SimConfig,
-    faults: &[NodeFailure],
-) -> TestbedReport {
-    try_run_testbed_with_faults(alg, world, cfg, faults).unwrap_or_else(|e| panic!("{e}"))
+/// One testbed run in flight: the event queue, the node and query state,
+/// the transfer engine with its jobs, and the tallies. Each [`Event`] has
+/// one handler method.
+struct Sim<'a> {
+    world: &'a TestbedWorld,
+    inst: &'a edgerep_model::Instance,
+    cfg: &'a SimConfig,
+    fault_plan: &'a FaultPlan,
+    /// The controller's validated plan.
+    plan: Solution,
+    /// Per-event debug tracing, gated once per run.
+    trace_debug: bool,
+    queue: EventQueue<Event>,
+    /// Arrival instant of the last query: periodic events stop re-arming
+    /// after it.
+    query_horizon: SimTime,
+    /// Replica count per dataset in the controller plan (repair target).
+    target_counts: Vec<usize>,
+    runs: Vec<Option<QueryRun>>,
+    free_ghz: Vec<f64>,
+    waiting: Vec<VecDeque<Waiting>>,
+    new_data_gb: Vec<f64>,
+    last_growth: SimTime,
+    // Fault state. A node is alive iff no outage window covers `now`;
+    // overlapping windows nest via `downs_active`. Epochs version a
+    // node's lifetime so work scheduled before a death is void after it.
+    alive: Vec<bool>,
+    downs_active: Vec<u32>,
+    node_epoch: Vec<u32>,
+    down_since: Vec<Option<SimTime>>,
+    held_at_down: Vec<Vec<DatasetId>>,
+    /// The controller plan as it evolves: replicas leave with dead nodes,
+    /// return with repairs and recoveries. Failover reads this, so
+    /// repaired replicas genuinely restore availability.
+    live_sol: Solution,
+    eng: transfer::Engine,
+    /// Engine transfer id → owner, parallel to the engine's table.
+    owners: Vec<EngineOwner>,
+    /// Last `FlowProgress` generation pushed; a matching generation means
+    /// the event is already queued at the right instant.
+    last_pushed_gen: u64,
+    jobs: Vec<XferJob>,
+    /// Bounded ring of recent events for QoS-miss replay.
+    ring: VecDeque<(SimTime, &'static str, i64, i64)>,
+    tally: Tally,
 }
 
-/// [`run_testbed_with_faults`] returning malformed inputs as errors
-/// instead of aborting.
-pub fn try_run_testbed_with_faults(
-    alg: &dyn PlacementAlgorithm,
-    world: &TestbedWorld,
-    cfg: &SimConfig,
-    faults: &[NodeFailure],
-) -> Result<TestbedReport, SimError> {
-    try_run_testbed_with_plan(alg, world, cfg, &FaultPlan::from_failures(faults))
-}
-
-/// Runs one full testbed experiment under a [`FaultPlan`]: transient
-/// node outages, link degradations and partitions, and — when
-/// [`SimConfig::repair`] is set — controller-driven replica repair.
+/// Runs one full testbed experiment under a [`FaultPlan`] (use
+/// [`FaultPlan::empty`] for none, [`FaultPlan::from_failures`] for
+/// permanent [`NodeFailure`]s): transient node outages, link
+/// degradations and partitions, and — when [`SimConfig::repair`] is set —
+/// controller-driven replica repair.
 pub fn try_run_testbed_with_plan(
     alg: &dyn PlacementAlgorithm,
     world: &TestbedWorld,
@@ -658,15 +555,8 @@ pub fn try_run_testbed_with_plan(
     fault_plan: &FaultPlan,
 ) -> Result<TestbedReport, SimError> {
     let inst = &world.instance;
-    let cloud = inst.cloud();
-    fault_plan.validate(cloud.compute_count())?;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    fault_plan.validate(inst.cloud().compute_count())?;
     let _run_span = obs::span("sim", "sim.run");
-    // Per-event tracing is gated once per run; the loop then pays nothing
-    // when the `sim` target is disabled.
-    let trace_debug = obs::enabled_at("sim", obs::Level::Debug);
-
-    // --- 1. Controller -------------------------------------------------
     let plan = {
         let _controller_span = obs::span("sim", "sim.controller");
         alg.solve(inst)
@@ -679,1555 +569,1211 @@ pub fn try_run_testbed_with_plan(
                 .join("; "),
         )
     })?;
-
-    let planned_admitted = plan.admitted_count();
-
-    // --- 2. Replication phase ------------------------------------------
-    let mut replication_gb = 0.0;
-    let mut replication_time_s: f64 = 0.0;
-    for d in inst.dataset_ids() {
-        let origin = inst.dataset(d).origin;
-        for &v in plan.replicas_of(d) {
-            if v == origin {
-                continue; // the origin already holds the data
-            }
-            // One shard per holder: |S|/k under erasure coding, the full
-            // dataset (`shard_gb == size`) under replication.
-            let gb = inst.shard_gb(d);
-            let t = cloud.min_delay(origin, v) * gb;
-            replication_gb += gb;
-            replication_time_s = replication_time_s.max(t);
-        }
-    }
-
-    // --- 3. Query phase --------------------------------------------------
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut t = SimTime::ZERO;
-    let mut order: Vec<QueryId> = inst.query_ids().collect();
-    // Shuffle arrival order (Fisher-Yates) then draw exponential gaps.
-    for i in (1..order.len()).rev() {
-        order.swap(i, rng.gen_range(0..=i));
-    }
-    for q in order {
-        let gap = -rng.gen_f64().max(1e-12).ln() / cfg.arrival_rate_per_s;
-        t = t.after_secs(gap);
-        queue.push(t, Event::Arrival { q });
-    }
-    let query_horizon = t;
-    for o in &fault_plan.node_outages {
-        queue.push(
-            SimTime::from_secs_f64(o.down_at_s),
-            Event::NodeDown { node: o.node },
-        );
-        if let Some(up) = o.up_at_s {
-            queue.push(SimTime::from_secs_f64(up), Event::NodeUp { node: o.node });
-        }
-    }
-    for l in &fault_plan.link_faults {
-        queue.push(
-            SimTime::from_secs_f64(l.down_at_s),
-            Event::LinkDown { a: l.a, b: l.b },
-        );
-        if let Some(up) = l.up_at_s {
-            queue.push(SimTime::from_secs_f64(up), Event::LinkUp { a: l.a, b: l.b });
-        }
-    }
-    if let Some(c) = cfg.consistency {
-        queue.push(
-            SimTime::from_secs_f64(c.check_interval_s),
-            Event::ConsistencyCheck,
-        );
-    }
-    if let Some(interval) = cfg.slo_sample_interval_s {
-        assert!(
-            interval > 0.0 && interval.is_finite(),
-            "slo_sample_interval_s must be positive and finite, got {interval}"
-        );
-        queue.push(SimTime::from_secs_f64(interval), Event::SloSample);
-    }
-    if let Some(interval) = cfg.scrub_interval_s {
-        assert!(
-            interval > 0.0 && interval.is_finite(),
-            "scrub_interval_s must be positive and finite, got {interval}"
-        );
-        queue.push(SimTime::from_secs_f64(interval), Event::Scrub);
-    }
-
-    let mut runs: Vec<Option<QueryRun>> = vec![None; inst.queries().len()];
-    let mut free_ghz: Vec<f64> = cloud.compute_ids().map(|v| cloud.available(v)).collect();
-    let mut waiting: Vec<std::collections::VecDeque<Waiting>> =
-        vec![std::collections::VecDeque::new(); cloud.compute_count()];
-    let mut completed: Vec<(QueryId, SimTime, SimTime)> = Vec::new(); // (q, arrival, finish)
-    let mut answers = Vec::new();
-    let mut consistency_gb = 0.0;
-    let mut consistency_rounds = 0usize;
-    let mut new_data_gb: Vec<f64> = vec![0.0; inst.datasets().len()];
-    let mut last_growth = SimTime::ZERO;
-    // Fault state. A node is alive iff no outage window covers `now`;
-    // overlapping windows nest via `downs_active`. Epochs version a
-    // node's lifetime so work scheduled before a death is void after it.
-    let mut alive = vec![true; cloud.compute_count()];
-    let mut downs_active = vec![0u32; cloud.compute_count()];
-    let mut node_epoch = vec![0u32; cloud.compute_count()];
-    let mut down_since: Vec<Option<SimTime>> = vec![None; cloud.compute_count()];
-    let mut held_at_down: Vec<Vec<DatasetId>> = vec![Vec::new(); cloud.compute_count()];
-    let mut node_downtime_s = 0.0;
-    // The controller plan as it evolves: replicas leave with dead nodes,
-    // return with repairs and recoveries. Failover reads this, so
-    // repaired replicas genuinely restore availability.
-    let mut live_sol = plan.clone();
-    let target_counts: Vec<usize> = inst.dataset_ids().map(|d| plan.replica_count(d)).collect();
-    let mut xfer_jobs: Vec<XferJob> = Vec::new();
-    // Chunked-engine bookkeeping, parallel to `xfer_jobs`: the parked
-    // ledger of an interrupted job (verified chunks waiting to resume)
-    // and the job's active engine transfer id, if any.
-    let mut job_ledger: Vec<Option<ChunkLedger>> = Vec::new();
-    let mut job_active: Vec<Option<usize>> = Vec::new();
-    let mut chunked: Option<ChunkedState> = match cfg.transfer {
-        TransferModel::PointToPoint => None,
-        TransferModel::Chunked(mut c) => {
-            if !cfg.nic_contention {
-                c.nic_gb_per_s = f64::INFINITY;
-            }
-            Some(ChunkedState {
-                eng: transfer::Engine::new(c, cloud.compute_count()),
-                jobs: Vec::new(),
-                last_pushed_gen: 0,
-            })
-        }
-    };
-    let mut transfer_resumes = 0usize;
-    let mut chunk_gb_saved = 0.0;
-    let mut abandoned_dead_source = 0usize;
-    let mut abandoned_partitioned = 0usize;
-    let mut repair_durations: Vec<f64> = Vec::new();
-    let mut tier_sum_s = [0.0f64; 3];
-    let mut tier_count = [0u64; 3];
-    let mut repairs_scheduled = 0usize;
-    let mut repairs_completed = 0usize;
-    let mut repair_gb = 0.0;
-    let mut repair_retries = 0usize;
-    let mut transfer_retries = 0usize;
-    let mut failovers = 0usize;
-    let mut queries_lost = 0usize;
-    let mut degraded_reads = 0usize;
-    let mut last_event_t = SimTime::ZERO;
-    // Bounded event ring for QoS-miss replay (S3): every popped event is
-    // recorded; on a miss the ring is dumped through `edgerep-obs`.
-    let mut ring: std::collections::VecDeque<(SimTime, &'static str, i64, i64)> =
-        std::collections::VecDeque::new();
-    let mut qos_miss_dumps = 0usize;
-    let mut slo_series: Vec<SloSample> = Vec::new();
-    // Per-node NIC: the instant the egress link frees up.
-    let mut nic_free_at = vec![SimTime::ZERO; cloud.compute_count()];
-    // Background (repair) egress cursor: repairs serialize among
-    // themselves and behind foreground traffic, never the other way.
-    let mut repair_nic_free_at = vec![SimTime::ZERO; cloud.compute_count()];
-    // Loop statistics, tallied in plain integers and flushed to the metric
-    // registry once after the drain.
-    let mut events_processed: u64 = 0;
-    let mut peak_event_queue: usize = 0;
-    let mut demands_started: u64 = 0;
-    let mut demands_queued: u64 = 0;
-    let mut queue_wait_sum_s = 0.0;
-    // Result-transfer durations; summed in sorted order at the end so the
-    // mean is independent of completion order (the chunked engine records
-    // at completion, the legacy model at scheduling).
-    let mut transfer_durations: Vec<f64> = Vec::new();
-
-    let start_demand = |now: SimTime,
-                        q: QueryId,
-                        demand: usize,
-                        node: ComputeNodeId,
-                        epoch: u32,
-                        read_extra_s: f64,
-                        free: &mut [f64],
-                        waiting: &mut [std::collections::VecDeque<Waiting>],
-                        queue: &mut EventQueue<Event>,
-                        inst: &edgerep_model::Instance,
-                        demands_queued: &mut u64| {
-        let need = inst.size(inst.query(q).demands[demand].dataset) * inst.query(q).compute_rate;
-        if free[node.index()] + 1e-9 >= need {
-            free[node.index()] -= need;
-            let proc = cloud.proc_delay(node) * inst.size(inst.query(q).demands[demand].dataset)
-                + read_extra_s;
-            queue.push(
-                now.after_secs(proc),
-                Event::ProcDone {
-                    q,
-                    demand,
-                    node,
-                    epoch,
-                },
-            );
-        } else {
-            *demands_queued += 1;
-            waiting[node.index()].push_back(Waiting {
-                q,
-                demand,
-                need_ghz: need,
-                enqueued: now,
-            });
-        }
-    };
-
+    let mut sim = Sim::new(world, cfg, fault_plan, plan);
     // The drain gets its own span so profiles separate event-loop time
     // from the controller's solve (`sim.controller` → solver spans).
     let loop_span = obs::span("sim", "sim.loop");
-    while let Some((now, ev)) = queue.pop() {
-        events_processed += 1;
-        peak_event_queue = peak_event_queue.max(queue.len() + 1);
-        last_event_t = now;
-        if let Some(tc) = cfg.debug_trace {
-            let (kind, a, b): (&'static str, i64, i64) = match &ev {
-                Event::Arrival { q } => ("arrival", q.index() as i64, -1),
-                Event::ProcDone { q, node, .. } => {
-                    ("proc_done", q.index() as i64, node.index() as i64)
+    while let Some((now, ev)) = sim.queue.pop() {
+        sim.step(now, ev);
+    }
+    drop(loop_span);
+    Ok(sim.finish(alg.name()))
+}
+
+impl<'a> Sim<'a> {
+    /// Times the replication phase and seeds the queue with arrivals,
+    /// fault windows and periodic events.
+    fn new(
+        world: &'a TestbedWorld,
+        cfg: &'a SimConfig,
+        fault_plan: &'a FaultPlan,
+        plan: Solution,
+    ) -> Self {
+        let inst = &world.instance;
+        let cloud = inst.cloud();
+        let mut tally = Tally::default();
+        // Replication phase: one shard per holder (|S|/k under erasure
+        // coding, the full dataset under replication) from the origin.
+        for d in inst.dataset_ids() {
+            let origin = inst.dataset(d).origin;
+            for &v in plan.replicas_of(d) {
+                if v == origin {
+                    continue; // the origin already holds the data
                 }
-                Event::TransferDone { q, demand } => {
-                    ("transfer_done", q.index() as i64, *demand as i64)
-                }
-                Event::ConsistencyCheck => ("consistency_check", -1, -1),
-                Event::NodeDown { node } => ("node_down", node.index() as i64, -1),
-                Event::NodeUp { node } => ("node_up", node.index() as i64, -1),
-                Event::LinkDown { a, b } => ("link_down", a.index() as i64, b.index() as i64),
-                Event::LinkUp { a, b } => ("link_up", a.index() as i64, b.index() as i64),
-                Event::RepairDone { job } => ("repair_done", *job as i64, -1),
-                Event::RetryTransfer { job } => ("retry_transfer", *job as i64, -1),
-                Event::FlowProgress { generation } => ("flow_progress", *generation as i64, -1),
-                Event::SloSample => ("slo_sample", -1, -1),
-                Event::Scrub => ("scrub", -1, -1),
-            };
-            if ring.len() >= tc.capacity.max(1) {
-                ring.pop_front();
+                let gb = inst.shard_gb(d);
+                let t = cloud.min_delay(origin, v) * gb;
+                tally.replication_gb += gb;
+                tally.replication_time_s = tally.replication_time_s.max(t);
             }
-            ring.push_back((now, kind, a, b));
         }
-        // The chunked engine advances to every event instant first, so
-        // completions due *at* `now` land (as `TransferDone` /
-        // `RepairDone` pushes) before any same-instant fault touches them.
-        if let Some(ch) = chunked.as_mut() {
-            pump_engine(
-                ch,
-                now,
-                &mut queue,
-                &mut xfer_jobs,
-                &mut job_active,
-                &mut transfer_durations,
-                &mut tier_sum_s,
-                &mut tier_count,
+
+        let mut queue: EventQueue<Event> = EventQueue::new();
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut t = SimTime::ZERO;
+        let mut order: Vec<QueryId> = inst.query_ids().collect();
+        // Shuffle arrival order (Fisher-Yates) then draw exponential gaps.
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        for q in order {
+            let gap = -rng.gen_f64().max(1e-12).ln() / cfg.arrival_rate_per_s;
+            t = t.after_secs(gap);
+            queue.push(t, Event::Arrival { q });
+        }
+        for o in &fault_plan.node_outages {
+            queue.push(
+                SimTime::from_secs_f64(o.down_at_s),
+                Event::NodeDown { node: o.node },
+            );
+            if let Some(up) = o.up_at_s {
+                queue.push(SimTime::from_secs_f64(up), Event::NodeUp { node: o.node });
+            }
+        }
+        for l in &fault_plan.link_faults {
+            queue.push(
+                SimTime::from_secs_f64(l.down_at_s),
+                Event::LinkDown { a: l.a, b: l.b },
+            );
+            if let Some(up) = l.up_at_s {
+                queue.push(SimTime::from_secs_f64(up), Event::LinkUp { a: l.a, b: l.b });
+            }
+        }
+        if let Some(c) = cfg.consistency {
+            queue.push(
+                SimTime::from_secs_f64(c.check_interval_s),
+                Event::ConsistencyCheck,
             );
         }
-        match ev {
-            Event::Arrival { q } => {
-                let Some(nodes) = plan.assignment_of(q) else {
-                    continue; // controller rejected it; counted in totals
-                };
-                // Resolve dead serving nodes to live replicas (failover).
-                // `live_sol` includes repaired replicas, so repair widens
-                // the failover choices — the availability payoff.
-                let mut resolved = Vec::with_capacity(nodes.len());
-                let mut this_failovers = 0usize;
-                let mut servable = true;
-                for (demand, &node) in nodes.iter().enumerate() {
-                    if alive[node.index()] {
-                        resolved.push(node);
-                        continue;
-                    }
-                    let d = inst.query(q).demands[demand].dataset;
-                    // Load-aware failover: among live replicas that can
-                    // still meet the deadline, prefer one with compute
-                    // free right now (idle beats close — queueing behind
-                    // other work is what actually busts deadlines), then
-                    // break ties by delay.
-                    let need = inst.size(d) * inst.query(q).compute_rate;
-                    let alt = live_sol
-                        .replicas_of(d)
-                        .iter()
-                        .copied()
-                        .filter(|v| alive[v.index()])
-                        .filter(|&v| {
-                            edgerep_model::delay::assignment_delay(inst, q, demand, v)
-                                <= inst.query(q).deadline + 1e-12
-                        })
-                        .min_by(|&a, &b| {
-                            let busy = |v: ComputeNodeId| free_ghz[v.index()] + 1e-9 < need;
-                            busy(a).cmp(&busy(b)).then(
-                                edgerep_model::delay::assignment_delay(inst, q, demand, a)
-                                    .partial_cmp(&edgerep_model::delay::assignment_delay(
-                                        inst, q, demand, b,
-                                    ))
-                                    .expect("delays comparable"),
-                            )
-                        });
-                    match alt {
-                        Some(v) => {
-                            this_failovers += 1;
-                            resolved.push(v);
-                        }
-                        None => {
-                            servable = false;
-                            break;
-                        }
-                    }
-                }
-                if !servable {
-                    queries_lost += 1;
-                    continue;
-                }
-                // Erasure-coded demands additionally need a live read
-                // quorum: the serving node's shard plus `k − 1` gathered
-                // from the nearest live co-holders. Between `k` and
-                // `k + m` live shards the read is *degraded* (slower, but
-                // served); below `k` the query is lost outright.
-                let mut read_extra = vec![0.0f64; resolved.len()];
-                let mut gather_launches: Vec<(usize, Vec<ec::ShardSource>)> = Vec::new();
-                let mut quorum_ok = true;
-                for (demand, &node) in resolved.iter().enumerate() {
-                    let d = inst.query(q).demands[demand].dataset;
-                    let scheme = inst.scheme(d);
-                    if !scheme.needs_decode() {
-                        continue;
-                    }
-                    let others: Vec<ec::ShardSource> = live_sol
-                        .replicas_of(d)
-                        .iter()
-                        .filter(|&&h| alive[h.index()] && h != node)
-                        .map(|&h| ec::ShardSource {
-                            node: h.index(),
-                            delay_s_per_gb: cloud.min_delay(h, node),
-                        })
-                        .collect();
-                    let placed = target_counts[d.index()];
-                    match ec::plan_read(scheme, inst.size(d), &others, placed) {
-                        Some(plan) => {
-                            read_extra[demand] = plan.overhead_s(inst.decode_s_per_gb());
-                            if plan.degraded {
-                                degraded_reads += 1;
-                                ec::note_degraded_read(
-                                    now.as_secs_f64(),
-                                    d.index(),
-                                    1 + others.len(),
-                                    placed,
-                                    scheme.min_read(),
-                                );
-                            }
-                            if !plan.sources.is_empty() {
-                                gather_launches.push((demand, plan.sources));
-                            }
-                        }
-                        None => {
-                            quorum_ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !quorum_ok {
-                    queries_lost += 1;
-                    continue;
-                }
-                // The shard fan-in rides the chunked engine when it is
-                // on: Immediate-tier flows from each chosen co-holder
-                // contend on the wire with everything else. The read's
-                // latency itself is charged analytically via
-                // `read_extra`, identically under both transfer models.
-                if let Some(ch) = chunked.as_mut() {
-                    for (demand, sources) in &gather_launches {
-                        let d = inst.query(q).demands[*demand].dataset;
-                        let dest = resolved[*demand];
-                        for s in sources {
-                            let src = ComputeNodeId(s.node as u32);
-                            let Some(p) = source_path(cloud, fault_plan, src, dest, now) else {
-                                continue;
-                            };
-                            let ledger =
-                                ChunkLedger::new(inst.shard_gb(d), ch.eng.config().chunk_gb);
-                            let tid = ch.eng.begin(
-                                now,
-                                dest.index(),
-                                FlowTier::Immediate,
-                                Some(d.index()),
-                                ledger,
-                                &[p],
-                            );
-                            debug_assert_eq!(tid, ch.jobs.len());
-                            ch.jobs.push(EngineOwner::Gather { source: src, dest });
-                        }
-                    }
-                    if !gather_launches.is_empty() {
-                        pump_engine(
-                            ch,
-                            now,
-                            &mut queue,
-                            &mut xfer_jobs,
-                            &mut job_active,
-                            &mut transfer_durations,
-                            &mut tier_sum_s,
-                            &mut tier_count,
-                        );
-                    }
-                }
-                failovers += this_failovers;
-                let n = resolved.len();
-                runs[q.index()] = Some(QueryRun {
-                    arrival: now,
-                    outstanding: n,
-                    finish: now,
-                    partials: vec![None; n],
-                    nodes: resolved.clone(),
-                    incomplete: vec![true; n],
-                    read_extra: read_extra.clone(),
-                });
-                demands_started += n as u64;
-                for (demand, node) in resolved.into_iter().enumerate() {
-                    start_demand(
-                        now,
-                        q,
-                        demand,
-                        node,
-                        node_epoch[node.index()],
-                        read_extra[demand],
-                        &mut free_ghz,
-                        &mut waiting,
-                        &mut queue,
-                        inst,
-                        &mut demands_queued,
-                    );
-                }
+        for (interval, event, what) in [
+            (cfg.slo_sample_interval_s, Event::SloSample, "slo_sample"),
+            (cfg.scrub_interval_s, Event::Scrub, "scrub"),
+        ] {
+            if let Some(interval) = interval {
+                assert!(
+                    interval > 0.0 && interval.is_finite(),
+                    "{what}_interval_s must be positive and finite, got {interval}"
+                );
+                queue.push(SimTime::from_secs_f64(interval), event);
             }
+        }
+
+        let nodes = cloud.compute_count();
+        Self {
+            world,
+            inst,
+            cfg,
+            fault_plan,
+            trace_debug: obs::enabled_at("sim", obs::Level::Debug),
+            queue,
+            query_horizon: t,
+            target_counts: inst.dataset_ids().map(|d| plan.replica_count(d)).collect(),
+            runs: vec![None; inst.queries().len()],
+            free_ghz: cloud.compute_ids().map(|v| cloud.available(v)).collect(),
+            waiting: vec![VecDeque::new(); nodes],
+            new_data_gb: vec![0.0; inst.datasets().len()],
+            last_growth: SimTime::ZERO,
+            alive: vec![true; nodes],
+            downs_active: vec![0; nodes],
+            node_epoch: vec![0; nodes],
+            down_since: vec![None; nodes],
+            held_at_down: vec![Vec::new(); nodes],
+            live_sol: plan.clone(),
+            eng: transfer::Engine::new(cfg.transfer.config(), nodes, cfg.nic_contention),
+            owners: Vec::new(),
+            last_pushed_gen: 0,
+            jobs: Vec::new(),
+            ring: VecDeque::new(),
+            tally,
+            plan,
+        }
+    }
+
+    fn step(&mut self, now: SimTime, ev: Event) {
+        self.tally.events_processed += 1;
+        self.tally.peak_event_queue = self.tally.peak_event_queue.max(self.queue.len() + 1);
+        self.tally.last_event_t = now;
+        if let Some(tc) = self.cfg.debug_trace {
+            if self.ring.len() >= tc.capacity.max(1) {
+                self.ring.pop_front();
+            }
+            let (kind, a, b) = ev.trace_key();
+            self.ring.push_back((now, kind, a, b));
+        }
+        // The engine advances to every event instant first, so
+        // completions due *at* `now` land (as `TransferDone` /
+        // `RepairDone` pushes) before any same-instant fault touches them.
+        self.pump(now);
+        match ev {
+            Event::Arrival { q } => self.on_arrival(now, q),
             Event::ProcDone {
                 q,
                 demand,
                 node,
                 epoch,
-            } => {
-                if node_epoch[node.index()] != epoch {
-                    // The node died (and possibly recovered) since this
-                    // work was scheduled: the work is lost, and its
-                    // compute was re-baselined at recovery — freeing it
-                    // here would double-count.
-                    continue;
-                }
-                // Release compute and wake queued demands regardless of
-                // whether the owning query is still alive.
-                let d = inst.query(q).demands[demand].dataset;
-                let need = inst.size(d) * inst.query(q).compute_rate;
-                free_ghz[node.index()] += need;
-                while let Some(w) = waiting[node.index()].front().copied() {
-                    if free_ghz[node.index()] + 1e-9 >= w.need_ghz {
-                        waiting[node.index()].pop_front();
-                        free_ghz[node.index()] -= w.need_ghz;
-                        let wait_s = now.as_secs_f64() - w.enqueued.as_secs_f64();
-                        queue_wait_sum_s += wait_s;
-                        if trace_debug {
-                            obs::emit_debug(
-                                "sim",
-                                "sim.run",
-                                "demand.dequeued",
-                                &[
-                                    ("query", w.q.index().into()),
-                                    ("demand", w.demand.into()),
-                                    ("node", node.index().into()),
-                                    ("wait_s", wait_s.into()),
-                                ],
-                            );
-                        }
-                        // EC gather + decode overhead still applies when
-                        // the demand dequeues after a compute wait.
-                        let extra_s = runs[w.q.index()]
-                            .as_ref()
-                            .map_or(0.0, |r| r.read_extra[w.demand]);
-                        let proc = cloud.proc_delay(node)
-                            * inst.size(inst.query(w.q).demands[w.demand].dataset)
-                            + extra_s;
-                        queue.push(
-                            now.after_secs(proc),
-                            Event::ProcDone {
-                                q: w.q,
-                                demand: w.demand,
-                                node,
-                                epoch,
-                            },
-                        );
-                    } else {
-                        break;
-                    }
-                }
-                // Poisoned queries produce nothing further.
-                let Some(run) = runs[q.index()].as_mut() else {
-                    continue;
-                };
-                // Evaluate the analytics for real, then ship the result.
-                // Its own span: real computation must not hide inside the
-                // event loop's self time in profiles.
-                let partial = {
-                    let _analytics_span = obs::span("sim", "sim.analytics");
-                    evaluate(world.query_kinds[q.index()], &world.records[d.index()])
-                };
-                run.partials[demand] = Some(partial);
-                let query = inst.query(q);
-                let result_gb = query.demands[demand].selectivity * inst.size(d);
-                let factor = fault_plan.link_factor(node, query.home, now.as_secs_f64());
-                if chunked.is_some() || factor.is_infinite() {
-                    // Chunked engine: every result becomes a retryable job
-                    // and launches through the retry handler (immediately
-                    // when the path is up — same simulated instant).
-                    // Legacy: only a partitioned result parks here, to
-                    // retry with backoff instead of losing the query.
-                    let job = xfer_jobs.len();
-                    xfer_jobs.push(XferJob {
-                        kind: XferKind::Result { q, demand },
-                        source: node,
-                        dest: query.home,
-                        gb: result_gb,
-                        dest_epoch: 0,
-                        attempts: 0,
-                        resolved: false,
-                        born: now,
-                    });
-                    job_ledger.push(None);
-                    job_active.push(None);
-                    queue.push(now, Event::RetryTransfer { job });
-                    continue;
-                }
-                let trans = cloud.min_delay(node, query.home) * result_gb * factor;
-                // Results leaving the same VM serialize on its NIC.
-                let start = if cfg.nic_contention {
-                    nic_free_at[node.index()].max(now)
-                } else {
-                    now
-                };
-                let done = start.after_secs(trans);
-                if cfg.nic_contention {
-                    nic_free_at[node.index()] = done;
-                }
-                transfer_durations.push(done.secs_since(now));
-                queue.push(done, Event::TransferDone { q, demand });
-            }
-            Event::TransferDone { q, demand } => {
-                let Some(run) = runs[q.index()].as_mut() else {
-                    continue; // poisoned by a fault mid-flight
-                };
-                run.incomplete[demand] = false;
-                run.outstanding -= 1;
-                run.finish = run.finish.max(now);
-                if run.outstanding == 0 {
-                    completed.push((q, run.arrival, run.finish));
-                    let resp = run.finish.as_secs_f64() - run.arrival.as_secs_f64();
-                    if let Some(tc) = cfg.debug_trace {
-                        if resp > inst.query(q).deadline + 1e-9 && qos_miss_dumps < tc.max_dumps {
-                            qos_miss_dumps += 1;
-                            obs::emit(
-                                "sim",
-                                "sim.run",
-                                "qos_miss.replay.begin",
-                                &[
-                                    ("query", q.index().into()),
-                                    ("response_s", resp.into()),
-                                    ("deadline_s", inst.query(q).deadline.into()),
-                                    ("entries", ring.len().into()),
-                                ],
-                            );
-                            for &(et, kind, a, b) in &ring {
-                                obs::emit(
-                                    "sim",
-                                    "sim.run",
-                                    "qos_miss.replay",
-                                    &[
-                                        ("t_s", et.as_secs_f64().into()),
-                                        ("event", kind.into()),
-                                        ("a", a.into()),
-                                        ("b", b.into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    if trace_debug {
-                        obs::emit_debug(
-                            "sim",
-                            "sim.run",
-                            "query.done",
-                            &[
-                                ("query", q.index().into()),
-                                (
-                                    "response_s",
-                                    (run.finish.as_secs_f64() - run.arrival.as_secs_f64()).into(),
-                                ),
-                            ],
-                        );
-                    }
-                    let partials: Vec<AnalyticsResult> =
-                        run.partials.iter().flatten().cloned().collect();
-                    if let Some(answer) = merge(partials) {
-                        answers.push((q, answer));
-                    }
-                }
-            }
-            Event::NodeDown { node } => {
-                let idx = node.index();
-                downs_active[idx] += 1;
-                if downs_active[idx] > 1 {
-                    continue; // already down (overlapping windows nest)
-                }
-                alive[idx] = false;
-                node_epoch[idx] = node_epoch[idx].wrapping_add(1);
-                down_since[idx] = Some(now);
-                waiting[idx].clear();
-                // Poison every active query with an incomplete demand on
-                // the failing node: its in-flight work is gone.
-                for run_slot in runs.iter_mut() {
-                    let poisoned = run_slot.as_ref().is_some_and(|run| {
-                        run.nodes
-                            .iter()
-                            .zip(run.incomplete.iter())
-                            .any(|(&n, &inc)| inc && n == node)
-                    });
-                    if poisoned {
-                        *run_slot = None;
-                        queries_lost += 1;
-                    }
-                }
-                // Orphan the node's replicas; remember them so a recovery
-                // can bring them back.
-                let orphans = live_sol.remove_node_replicas(node);
-                if trace_debug {
-                    obs::emit_debug(
-                        "sim",
-                        "sim.run",
-                        "node.down",
-                        &[("node", idx.into()), ("orphans", orphans.len().into())],
-                    );
-                }
-                held_at_down[idx] = orphans;
-                // Sweep the chunked engine: flows touching the dead node
-                // react now instead of flying on to a void completion.
-                if let Some(ch) = chunked.as_mut() {
-                    for tid in 0..ch.jobs.len() {
-                        if ch.eng.is_done(tid) {
-                            continue;
-                        }
-                        match ch.jobs[tid] {
-                            EngineOwner::Consistency { source, dest }
-                            | EngineOwner::Gather { source, dest } => {
-                                if source == node || dest == node {
-                                    ch.eng.cancel(now, tid);
-                                }
-                            }
-                            EngineOwner::Job(job) => {
-                                let j = xfer_jobs[job];
-                                match j.kind {
-                                    XferKind::Result { q, .. } => {
-                                        // Source death poisoned the run
-                                        // above; its in-flight bytes die
-                                        // with it (legacy semantics).
-                                        if runs[q.index()].is_none() {
-                                            ch.eng.cancel(now, tid);
-                                            xfer_jobs[job].resolved = true;
-                                            job_active[job] = None;
-                                        }
-                                    }
-                                    XferKind::Repair { dataset } => {
-                                        if j.dest == node {
-                                            // Target died: the job is void.
-                                            ch.eng.cancel(now, tid);
-                                            xfer_jobs[job].resolved = true;
-                                            job_active[job] = None;
-                                            continue;
-                                        }
-                                        // The holder set shrank: refresh
-                                        // the swarm, or park the verified
-                                        // chunks if nobody is reachable.
-                                        let srcs = repair_source_paths(
-                                            inst,
-                                            fault_plan,
-                                            &live_sol,
-                                            &alive,
-                                            dataset,
-                                            j.dest,
-                                            now,
-                                            ch.eng.config().multi_source,
-                                        );
-                                        if srcs.is_empty() {
-                                            park_job(
-                                                ch,
-                                                now,
-                                                tid,
-                                                job,
-                                                &mut job_ledger,
-                                                &mut job_active,
-                                                &mut queue,
-                                            );
-                                        } else {
-                                            ch.eng.set_sources(now, tid, &srcs);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    pump_engine(
-                        ch,
-                        now,
-                        &mut queue,
-                        &mut xfer_jobs,
-                        &mut job_active,
-                        &mut transfer_durations,
-                        &mut tier_sum_s,
-                        &mut tier_count,
-                    );
-                }
-                // Controller repair: re-place orphaned replicas on live
-                // feasible nodes, timed as real transfers below.
-                if cfg.repair {
-                    // Plan against the live state plus every in-flight
-                    // repair, so concurrent failures never double-book a
-                    // replica slot.
-                    let mut planning = live_sol.clone();
-                    for j in &xfer_jobs {
-                        if let XferKind::Repair { dataset } = j.kind {
-                            if !j.resolved && node_epoch[j.dest.index()] == j.dest_epoch {
-                                planning.place_replica(dataset, j.dest);
-                            }
-                        }
-                    }
-                    for a in repair::plan_replacements(inst, &planning, &alive, &target_counts) {
-                        repairs_scheduled += 1;
-                        let job = xfer_jobs.len();
-                        xfer_jobs.push(XferJob {
-                            kind: XferKind::Repair { dataset: a.dataset },
-                            source: a.source,
-                            dest: a.target,
-                            gb: a.gb,
-                            dest_epoch: node_epoch[a.target.index()],
-                            attempts: 0,
-                            resolved: false,
-                            born: now,
-                        });
-                        job_ledger.push(None);
-                        job_active.push(None);
-                        queue.push(now, Event::RetryTransfer { job });
-                    }
-                }
-            }
-            Event::NodeUp { node } => {
-                let idx = node.index();
-                if downs_active[idx] == 0 {
-                    continue; // spurious recovery
-                }
-                downs_active[idx] -= 1;
-                if downs_active[idx] > 0 {
-                    continue; // still inside another outage window
-                }
-                alive[idx] = true;
-                // The node returns empty of work: full compute, idle NIC.
-                free_ghz[idx] = cloud.available(node);
-                nic_free_at[idx] = now;
-                repair_nic_free_at[idx] = now;
-                if let Some(since) = down_since[idx].take() {
-                    node_downtime_s += now.as_secs_f64() - since.as_secs_f64();
-                }
-                // Its local replicas survive the outage on disk: re-admit
-                // them where the dataset is still under budget.
-                let held = std::mem::take(&mut held_at_down[idx]);
-                for d in held {
-                    if live_sol.replica_count(d) < inst.slots(d) && !live_sol.has_replica(d, node) {
-                        live_sol.place_replica(d, node);
-                    }
-                }
-                // Recovered replicas widen every repair swarm: refresh the
-                // source sets of in-flight chunked repairs.
-                if let Some(ch) = chunked.as_mut() {
-                    for tid in 0..ch.jobs.len() {
-                        if ch.eng.is_done(tid) {
-                            continue;
-                        }
-                        if let EngineOwner::Job(job) = ch.jobs[tid] {
-                            if let XferKind::Repair { dataset } = xfer_jobs[job].kind {
-                                let srcs = repair_source_paths(
-                                    inst,
-                                    fault_plan,
-                                    &live_sol,
-                                    &alive,
-                                    dataset,
-                                    xfer_jobs[job].dest,
-                                    now,
-                                    ch.eng.config().multi_source,
-                                );
-                                if !srcs.is_empty() {
-                                    ch.eng.set_sources(now, tid, &srcs);
-                                }
-                            }
-                        }
-                    }
-                    pump_engine(
-                        ch,
-                        now,
-                        &mut queue,
-                        &mut xfer_jobs,
-                        &mut job_active,
-                        &mut transfer_durations,
-                        &mut tier_sum_s,
-                        &mut tier_count,
-                    );
-                }
-                if trace_debug {
-                    obs::emit_debug("sim", "sim.run", "node.up", &[("node", idx.into())]);
-                }
-            }
-            Event::LinkDown { a, b } => {
-                // Legacy timing effects come from `FaultPlan::link_factor`
-                // lookups at transfer-scheduling time; the chunked engine
-                // additionally re-prices (or parks) in-flight flows here.
-                if let Some(ch) = chunked.as_mut() {
-                    refresh_link_flows(
-                        ch,
-                        now,
-                        inst,
-                        fault_plan,
-                        &live_sol,
-                        &alive,
-                        &mut xfer_jobs,
-                        &mut job_ledger,
-                        &mut job_active,
-                        &mut queue,
-                    );
-                    pump_engine(
-                        ch,
-                        now,
-                        &mut queue,
-                        &mut xfer_jobs,
-                        &mut job_active,
-                        &mut transfer_durations,
-                        &mut tier_sum_s,
-                        &mut tier_count,
-                    );
-                }
-                if trace_debug {
-                    obs::emit_debug(
-                        "sim",
-                        "sim.run",
-                        "link.down",
-                        &[("a", a.index().into()), ("b", b.index().into())],
-                    );
-                }
-            }
-            Event::LinkUp { a, b } => {
-                if let Some(ch) = chunked.as_mut() {
-                    refresh_link_flows(
-                        ch,
-                        now,
-                        inst,
-                        fault_plan,
-                        &live_sol,
-                        &alive,
-                        &mut xfer_jobs,
-                        &mut job_ledger,
-                        &mut job_active,
-                        &mut queue,
-                    );
-                    pump_engine(
-                        ch,
-                        now,
-                        &mut queue,
-                        &mut xfer_jobs,
-                        &mut job_active,
-                        &mut transfer_durations,
-                        &mut tier_sum_s,
-                        &mut tier_count,
-                    );
-                }
-                if trace_debug {
-                    obs::emit_debug(
-                        "sim",
-                        "sim.run",
-                        "link.up",
-                        &[("a", a.index().into()), ("b", b.index().into())],
-                    );
-                }
-            }
-            Event::RepairDone { job } => {
-                let j = xfer_jobs[job];
-                let XferKind::Repair { dataset } = j.kind else {
-                    continue;
-                };
-                // Valid only if the target survived since launch and the
-                // dataset still wants the replica.
-                if node_epoch[j.dest.index()] == j.dest_epoch
-                    && live_sol.replica_count(dataset) < inst.slots(dataset)
-                    && !live_sol.has_replica(dataset, j.dest)
-                {
-                    live_sol.place_replica(dataset, j.dest);
-                    repairs_completed += 1;
-                    repair_gb += j.gb;
-                    repair_durations.push(now.secs_since(j.born));
-                    if trace_debug {
-                        obs::emit_debug(
-                            "sim",
-                            "sim.run",
-                            "repair.done",
-                            &[
-                                ("dataset", dataset.index().into()),
-                                ("node", j.dest.index().into()),
-                            ],
-                        );
-                    }
-                }
-            }
+            } => self.on_proc_done(now, q, demand, node, epoch),
+            Event::TransferDone { q, demand } => self.on_transfer_done(now, q, demand),
+            Event::NodeDown { node } => self.on_node_down(now, node),
+            Event::NodeUp { node } => self.on_node_up(now, node),
+            Event::LinkDown { a, b } => self.on_link_change(now, "link.down", a, b),
+            Event::LinkUp { a, b } => self.on_link_change(now, "link.up", a, b),
+            Event::RepairDone { job } => self.on_repair_done(now, job),
             Event::RetryTransfer { job } => {
-                let j = xfer_jobs[job];
-                if j.resolved {
-                    continue;
-                }
-                if let Some(ch) = chunked.as_mut() {
-                    if job_active[job].is_some() {
-                        continue; // already relaunched by an earlier event
-                    }
-                    match j.kind {
-                        XferKind::Result { q, .. } => {
-                            if runs[q.index()].is_none() {
-                                xfer_jobs[job].resolved = true; // poisoned
-                                continue;
-                            }
-                            let Some(path) = source_path(cloud, fault_plan, j.source, j.dest, now)
-                            else {
-                                if j.attempts >= XFER_MAX_ATTEMPTS {
-                                    xfer_jobs[job].resolved = true;
-                                    runs[q.index()] = None;
-                                    queries_lost += 1;
-                                    abandoned_partitioned += 1;
-                                    obs::emit(
-                                        "sim",
-                                        "sim.run",
-                                        "transfer.abandoned",
-                                        &[
-                                            ("kind", "result".into()),
-                                            ("reason", "partitioned".into()),
-                                            ("job", job.into()),
-                                            ("attempts", (j.attempts as usize).into()),
-                                        ],
-                                    );
-                                } else {
-                                    xfer_jobs[job].attempts += 1;
-                                    transfer_retries += 1;
-                                    queue.push(
-                                        now.after_secs(backoff_s(j.attempts)),
-                                        Event::RetryTransfer { job },
-                                    );
-                                }
-                                continue;
-                            };
-                            let ledger = job_ledger[job].take().unwrap_or_else(|| {
-                                ChunkLedger::new(j.gb, ch.eng.config().chunk_gb)
-                            });
-                            if ledger.verified_count() > 0 {
-                                transfer_resumes += 1;
-                                chunk_gb_saved += ledger.verified_gb();
-                                obs::emit(
-                                    "sim",
-                                    "sim.run",
-                                    "transfer.resume",
-                                    &[
-                                        ("kind", "result".into()),
-                                        ("job", job.into()),
-                                        ("verified_gb", ledger.verified_gb().into()),
-                                        ("missing_gb", ledger.missing_gb().into()),
-                                    ],
-                                );
-                            }
-                            let tid = ch.eng.begin(
-                                now,
-                                j.dest.index(),
-                                FlowTier::Immediate,
-                                None,
-                                ledger,
-                                &[path],
-                            );
-                            debug_assert_eq!(tid, ch.jobs.len());
-                            ch.jobs.push(EngineOwner::Job(job));
-                            job_active[job] = Some(tid);
-                        }
-                        XferKind::Repair { dataset } => {
-                            if node_epoch[j.dest.index()] != j.dest_epoch {
-                                xfer_jobs[job].resolved = true; // target died
-                                continue;
-                            }
-                            let holders =
-                                repair::pick_sources(inst, &live_sol, &alive, dataset, j.dest);
-                            let mut srcs: Vec<SourcePath> = holders
-                                .iter()
-                                .filter_map(|&s| source_path(cloud, fault_plan, s, j.dest, now))
-                                .collect();
-                            if !ch.eng.config().multi_source {
-                                srcs.truncate(1);
-                            }
-                            if srcs.is_empty() {
-                                // No live holder at all, or holders exist
-                                // but every path is partitioned.
-                                let reason = if holders.is_empty() {
-                                    "dead-source"
-                                } else {
-                                    "partitioned"
-                                };
-                                if j.attempts >= XFER_MAX_ATTEMPTS {
-                                    xfer_jobs[job].resolved = true; // abandoned
-                                    if holders.is_empty() {
-                                        abandoned_dead_source += 1;
-                                    } else {
-                                        abandoned_partitioned += 1;
-                                    }
-                                    obs::emit(
-                                        "sim",
-                                        "sim.run",
-                                        "transfer.abandoned",
-                                        &[
-                                            ("kind", "repair".into()),
-                                            ("reason", reason.into()),
-                                            ("job", job.into()),
-                                            ("attempts", (j.attempts as usize).into()),
-                                        ],
-                                    );
-                                } else {
-                                    xfer_jobs[job].attempts += 1;
-                                    repair_retries += 1;
-                                    queue.push(
-                                        now.after_secs(backoff_s(j.attempts)),
-                                        Event::RetryTransfer { job },
-                                    );
-                                }
-                                continue;
-                            }
-                            xfer_jobs[job].source = ComputeNodeId(srcs[0].node as u32);
-                            let ledger = job_ledger[job].take().unwrap_or_else(|| {
-                                ChunkLedger::new(j.gb, ch.eng.config().chunk_gb)
-                            });
-                            if ledger.verified_count() > 0 {
-                                transfer_resumes += 1;
-                                chunk_gb_saved += ledger.verified_gb();
-                                obs::emit(
-                                    "sim",
-                                    "sim.run",
-                                    "transfer.resume",
-                                    &[
-                                        ("kind", "repair".into()),
-                                        ("job", job.into()),
-                                        ("verified_gb", ledger.verified_gb().into()),
-                                        ("missing_gb", ledger.missing_gb().into()),
-                                    ],
-                                );
-                            }
-                            let tid = ch.eng.begin(
-                                now,
-                                j.dest.index(),
-                                FlowTier::Background,
-                                Some(dataset.index()),
-                                ledger,
-                                &srcs,
-                            );
-                            debug_assert_eq!(tid, ch.jobs.len());
-                            ch.jobs.push(EngineOwner::Job(job));
-                            job_active[job] = Some(tid);
-                        }
-                    }
-                    pump_engine(
-                        ch,
-                        now,
-                        &mut queue,
-                        &mut xfer_jobs,
-                        &mut job_active,
-                        &mut transfer_durations,
-                        &mut tier_sum_s,
-                        &mut tier_count,
-                    );
-                    continue;
-                }
-                match j.kind {
-                    XferKind::Result { q, demand } => {
-                        if runs[q.index()].is_none() {
-                            xfer_jobs[job].resolved = true; // poisoned meanwhile
-                            continue;
-                        }
-                        // A dead source would have poisoned the run above;
-                        // only the path matters here.
-                        let factor = fault_plan.link_factor(j.source, j.dest, now.as_secs_f64());
-                        if factor.is_infinite() {
-                            if j.attempts >= XFER_MAX_ATTEMPTS {
-                                // Degrade gracefully: the result never got
-                                // home; the query is lost, not the run.
-                                xfer_jobs[job].resolved = true;
-                                runs[q.index()] = None;
-                                queries_lost += 1;
-                                abandoned_partitioned += 1;
-                                obs::emit(
-                                    "sim",
-                                    "sim.run",
-                                    "transfer.abandoned",
-                                    &[
-                                        ("kind", "result".into()),
-                                        ("reason", "partitioned".into()),
-                                        ("job", job.into()),
-                                        ("attempts", (j.attempts as usize).into()),
-                                    ],
-                                );
-                            } else {
-                                xfer_jobs[job].attempts += 1;
-                                transfer_retries += 1;
-                                queue.push(
-                                    now.after_secs(backoff_s(j.attempts)),
-                                    Event::RetryTransfer { job },
-                                );
-                            }
-                            continue;
-                        }
-                        let trans = cloud.min_delay(j.source, j.dest) * j.gb * factor;
-                        let start = if cfg.nic_contention {
-                            nic_free_at[j.source.index()].max(now)
-                        } else {
-                            now
-                        };
-                        let done = start.after_secs(trans);
-                        if cfg.nic_contention {
-                            nic_free_at[j.source.index()] = done;
-                        }
-                        transfer_durations.push(done.secs_since(now));
-                        xfer_jobs[job].resolved = true;
-                        queue.push(done, Event::TransferDone { q, demand });
-                    }
-                    XferKind::Repair { dataset } => {
-                        if node_epoch[j.dest.index()] != j.dest_epoch {
-                            xfer_jobs[job].resolved = true; // target died
-                            continue;
-                        }
-                        // The planned source may have died since; re-pick
-                        // from the current live holders.
-                        let mut source = j.source;
-                        if !alive[source.index()] {
-                            if let Some(s) =
-                                repair::pick_source(inst, &live_sol, &alive, dataset, j.dest)
-                            {
-                                source = s;
-                                xfer_jobs[job].source = s;
-                            }
-                        }
-                        let factor = fault_plan.link_factor(source, j.dest, now.as_secs_f64());
-                        if !alive[source.index()] || factor.is_infinite() {
-                            if j.attempts >= XFER_MAX_ATTEMPTS {
-                                xfer_jobs[job].resolved = true; // abandoned
-                                let reason = if !alive[source.index()] {
-                                    abandoned_dead_source += 1;
-                                    "dead-source"
-                                } else {
-                                    abandoned_partitioned += 1;
-                                    "partitioned"
-                                };
-                                obs::emit(
-                                    "sim",
-                                    "sim.run",
-                                    "transfer.abandoned",
-                                    &[
-                                        ("kind", "repair".into()),
-                                        ("reason", reason.into()),
-                                        ("job", job.into()),
-                                        ("attempts", (j.attempts as usize).into()),
-                                    ],
-                                );
-                            } else {
-                                xfer_jobs[job].attempts += 1;
-                                repair_retries += 1;
-                                queue.push(
-                                    now.after_secs(backoff_s(j.attempts)),
-                                    Event::RetryTransfer { job },
-                                );
-                            }
-                            continue;
-                        }
-                        let trans = cloud.min_delay(source, j.dest) * j.gb * factor;
-                        // Repair bytes are preemptible background traffic:
-                        // they queue behind both foreground result egress
-                        // and earlier repairs from the same source, but
-                        // foreground traffic never queues behind them —
-                        // QoS-bearing results preempt replication streams.
-                        let start = if cfg.nic_contention {
-                            nic_free_at[source.index()]
-                                .max(repair_nic_free_at[source.index()])
-                                .max(now)
-                        } else {
-                            now
-                        };
-                        let done = start.after_secs(trans);
-                        if cfg.nic_contention {
-                            repair_nic_free_at[source.index()] = done;
-                        }
-                        xfer_jobs[job].resolved = true;
-                        queue.push(done, Event::RepairDone { job });
-                    }
-                }
+                self.launch(now, job);
+                self.pump(now);
             }
-            Event::ConsistencyCheck => {
-                let c = cfg.consistency.expect("check scheduled only with config");
-                // Accrue growth since the last check.
-                let dt_h = (now.as_secs_f64() - last_growth.as_secs_f64()) / 3600.0;
-                last_growth = now;
-                for g in &mut new_data_gb {
-                    *g += c.growth_gb_per_hour * dt_h;
-                }
-                // Push updates where the threshold is crossed.
-                for d in inst.dataset_ids() {
-                    let original = inst.size(d);
-                    if new_data_gb[d.index()] / original >= c.threshold {
-                        let replicas = plan.replicas_of(d);
-                        let origin = inst.dataset(d).origin;
-                        let synced = replicas.iter().filter(|&&v| v != origin).count();
-                        if synced > 0 {
-                            consistency_gb += new_data_gb[d.index()] * synced as f64;
-                            consistency_rounds += 1;
-                            // The chunked engine carries the update push as
-                            // real Scheduled-tier flows, so consistency
-                            // traffic contends with (and yields to) result
-                            // transfers; accounting above stays identical.
-                            if let Some(ch) = chunked.as_mut() {
-                                let gb = new_data_gb[d.index()];
-                                if gb > 0.0 && alive[origin.index()] {
-                                    for &v in replicas {
-                                        if v == origin || !alive[v.index()] {
-                                            continue;
-                                        }
-                                        let Some(p) =
-                                            source_path(cloud, fault_plan, origin, v, now)
-                                        else {
-                                            continue;
-                                        };
-                                        let ledger = ChunkLedger::new(gb, ch.eng.config().chunk_gb);
-                                        let tid = ch.eng.begin(
-                                            now,
-                                            v.index(),
-                                            FlowTier::Scheduled,
-                                            None,
-                                            ledger,
-                                            &[p],
-                                        );
-                                        debug_assert_eq!(tid, ch.jobs.len());
-                                        ch.jobs.push(EngineOwner::Consistency {
-                                            source: origin,
-                                            dest: v,
-                                        });
-                                    }
-                                }
-                            }
-                            if trace_debug {
-                                obs::emit_debug(
-                                    "sim",
-                                    "sim.run",
-                                    "consistency.sync",
-                                    &[
-                                        ("dataset", d.index().into()),
-                                        ("replicas_synced", synced.into()),
-                                        ("gb", (new_data_gb[d.index()] * synced as f64).into()),
-                                    ],
-                                );
-                            }
-                        }
-                        new_data_gb[d.index()] = 0.0;
-                    }
-                }
-                if let Some(ch) = chunked.as_mut() {
-                    pump_engine(
-                        ch,
-                        now,
-                        &mut queue,
-                        &mut xfer_jobs,
-                        &mut job_active,
-                        &mut transfer_durations,
-                        &mut tier_sum_s,
-                        &mut tier_count,
-                    );
-                }
-                // Keep checking until the query phase has drained.
-                let next = now.after_secs(c.check_interval_s);
-                if now <= query_horizon {
-                    queue.push(next, Event::ConsistencyCheck);
-                }
-            }
-            Event::FlowProgress { .. } => {
-                // The pre-match pump above already advanced the engine to
-                // `now`, fired due chunk completions, and re-armed the
-                // next wake-up; stale generations needed nothing anyway.
-            }
-            Event::Scrub => {
-                let interval = cfg
-                    .scrub_interval_s
-                    .expect("scrub scheduled only with config");
-                // Plan against the live state plus every in-flight
-                // repair, so the scrubber never double-books a shard
-                // slot the death-triggered repair path already claimed.
-                let mut planning = live_sol.clone();
-                for j in &xfer_jobs {
-                    if let XferKind::Repair { dataset } = j.kind {
-                        if !j.resolved && node_epoch[j.dest.index()] == j.dest_epoch {
-                            planning.place_replica(dataset, j.dest);
-                        }
-                    }
-                }
-                let (actions, _outcome) =
-                    repair::scrub(now.as_secs_f64(), inst, &planning, &alive, &target_counts);
-                for a in actions {
-                    repairs_scheduled += 1;
-                    let job = xfer_jobs.len();
-                    xfer_jobs.push(XferJob {
-                        kind: XferKind::Repair { dataset: a.dataset },
-                        source: a.source,
-                        dest: a.target,
-                        gb: a.gb,
-                        dest_epoch: node_epoch[a.target.index()],
-                        attempts: 0,
-                        resolved: false,
-                        born: now,
-                    });
-                    job_ledger.push(None);
-                    job_active.push(None);
-                    queue.push(now, Event::RetryTransfer { job });
-                }
-                // Keep scrubbing until the query phase has drained.
-                if now <= query_horizon {
-                    queue.push(now.after_secs(interval), Event::Scrub);
-                }
-            }
-            Event::SloSample => {
-                let interval = cfg
-                    .slo_sample_interval_s
-                    .expect("sample scheduled only with config");
-                slo_series.push(snapshot_slo(
-                    now.as_secs_f64(),
-                    inst,
-                    &completed,
-                    queries_lost,
-                    planned_admitted,
-                    repairs_scheduled,
-                    repairs_completed,
-                    replication_gb + repair_gb,
-                ));
-                // Keep sampling until the query phase has drained.
-                if now <= query_horizon {
-                    queue.push(now.after_secs(interval), Event::SloSample);
-                }
-            }
+            Event::ConsistencyCheck => self.on_consistency_check(now),
+            // The pump above already advanced the engine to `now`, fired
+            // due chunk completions, and re-armed the next wake-up; stale
+            // generations needed nothing anyway.
+            Event::FlowProgress { .. } => {}
+            Event::SloSample => self.on_slo_sample(now),
+            Event::Scrub => self.on_scrub(now),
         }
-    }
-    drop(loop_span);
-    if cfg.slo_sample_interval_s.is_some() {
-        // Close the series at drain time so the final state is always a
-        // row even when the run is shorter than one interval.
-        slo_series.push(snapshot_slo(
-            last_event_t.as_secs_f64(),
-            inst,
-            &completed,
-            queries_lost,
-            planned_admitted,
-            repairs_scheduled,
-            repairs_completed,
-            replication_gb + repair_gb,
-        ));
     }
 
-    // --- 4. Report -------------------------------------------------------
-    // Nodes still down when the sim drains accrue downtime to the end.
-    for since in down_since.iter_mut() {
-        if let Some(t0) = since.take() {
+    fn on_arrival(&mut self, now: SimTime, q: QueryId) {
+        let inst = self.inst;
+        let cloud = inst.cloud();
+        let Some(nodes) = self.plan.assignment_of(q) else {
+            return; // controller rejected it; counted in totals
+        };
+        // Resolve dead serving nodes to live replicas (failover).
+        // `live_sol` includes repaired replicas, so repair widens the
+        // failover choices — the availability payoff.
+        let mut resolved = Vec::with_capacity(nodes.len());
+        let mut this_failovers = 0usize;
+        for (demand, &node) in nodes.iter().enumerate() {
+            if self.alive[node.index()] {
+                resolved.push(node);
+                continue;
+            }
+            let d = inst.query(q).demands[demand].dataset;
+            // Load-aware failover: among live replicas that can still
+            // meet the deadline, prefer one with compute free right now
+            // (idle beats close — queueing behind other work is what
+            // actually busts deadlines), then break ties by delay.
+            let need = inst.size(d) * inst.query(q).compute_rate;
+            let delay = |v| edgerep_model::delay::assignment_delay(inst, q, demand, v);
+            let busy = |v: ComputeNodeId| self.free_ghz[v.index()] + 1e-9 < need;
+            let alt = self
+                .live_sol
+                .replicas_of(d)
+                .iter()
+                .copied()
+                .filter(|v| self.alive[v.index()])
+                .filter(|&v| delay(v) <= inst.query(q).deadline + 1e-12)
+                .min_by(|&a, &b| {
+                    busy(a)
+                        .cmp(&busy(b))
+                        .then(delay(a).partial_cmp(&delay(b)).expect("delays comparable"))
+                });
+            let Some(v) = alt else {
+                self.tally.queries_lost += 1;
+                return;
+            };
+            this_failovers += 1;
+            resolved.push(v);
+        }
+        // Erasure-coded demands additionally need a live read quorum: the
+        // serving node's shard plus `k − 1` gathered from the nearest live
+        // co-holders. Between `k` and `k + m` live shards the read is
+        // *degraded* (slower, but served); below `k` the query is lost.
+        let mut read_extra = vec![0.0f64; resolved.len()];
+        let mut gather_launches: Vec<(usize, Vec<ec::ShardSource>)> = Vec::new();
+        for (demand, &node) in resolved.iter().enumerate() {
+            let d = inst.query(q).demands[demand].dataset;
+            let scheme = inst.scheme(d);
+            if !scheme.needs_decode() {
+                continue;
+            }
+            let others: Vec<ec::ShardSource> = self
+                .live_sol
+                .replicas_of(d)
+                .iter()
+                .filter(|&&h| self.alive[h.index()] && h != node)
+                .map(|&h| ec::ShardSource {
+                    node: h.index(),
+                    delay_s_per_gb: cloud.min_delay(h, node),
+                })
+                .collect();
+            let placed = self.target_counts[d.index()];
+            let Some(plan) = ec::plan_read(scheme, inst.size(d), &others, placed) else {
+                self.tally.queries_lost += 1;
+                return;
+            };
+            read_extra[demand] = plan.overhead_s(inst.decode_s_per_gb());
+            if plan.degraded {
+                self.tally.degraded_reads += 1;
+                ec::note_degraded_read(
+                    now.as_secs_f64(),
+                    d.index(),
+                    1 + others.len(),
+                    placed,
+                    scheme.min_read(),
+                );
+            }
+            if !plan.sources.is_empty() {
+                gather_launches.push((demand, plan.sources));
+            }
+        }
+        // The shard fan-in rides the engine as Immediate-tier flows from
+        // each chosen co-holder, contending on the wire with everything
+        // else; the read's latency itself is charged via `read_extra`.
+        for (demand, sources) in &gather_launches {
+            let d = inst.query(q).demands[*demand].dataset;
+            let dest = resolved[*demand];
+            for s in sources {
+                let src = ComputeNodeId(s.node as u32);
+                let Some(p) = self.source_path(src, dest, now) else {
+                    continue;
+                };
+                let ledger = ChunkLedger::new(inst.shard_gb(d), self.eng.config().chunk_gb);
+                self.begin(
+                    now,
+                    EngineOwner::Gather { source: src, dest },
+                    FlowTier::Immediate,
+                    Some(d.index()),
+                    ledger,
+                    &[p],
+                );
+            }
+        }
+        if !gather_launches.is_empty() {
+            self.pump(now);
+        }
+        self.tally.failovers += this_failovers;
+        let n = resolved.len();
+        self.runs[q.index()] = Some(QueryRun {
+            arrival: now,
+            outstanding: n,
+            finish: now,
+            partials: vec![None; n],
+            nodes: resolved.clone(),
+            incomplete: vec![true; n],
+            read_extra: read_extra.clone(),
+        });
+        self.tally.demands_started += n as u64;
+        for (demand, node) in resolved.into_iter().enumerate() {
+            let need =
+                inst.size(inst.query(q).demands[demand].dataset) * inst.query(q).compute_rate;
+            if self.free_ghz[node.index()] + 1e-9 >= need {
+                self.free_ghz[node.index()] -= need;
+                let epoch = self.node_epoch[node.index()];
+                self.schedule_proc(now, q, demand, node, epoch, read_extra[demand]);
+            } else {
+                self.tally.demands_queued += 1;
+                self.waiting[node.index()].push_back(Waiting {
+                    q,
+                    demand,
+                    need_ghz: need,
+                    enqueued: now,
+                });
+            }
+        }
+    }
+
+    /// Schedules the `ProcDone` of a demand that just got its compute.
+    fn schedule_proc(
+        &mut self,
+        now: SimTime,
+        q: QueryId,
+        demand: usize,
+        node: ComputeNodeId,
+        epoch: u32,
+        read_extra_s: f64,
+    ) {
+        let inst = self.inst;
+        let proc = inst.cloud().proc_delay(node) * inst.size(inst.query(q).demands[demand].dataset)
+            + read_extra_s;
+        self.queue.push(
+            now.after_secs(proc),
+            Event::ProcDone {
+                q,
+                demand,
+                node,
+                epoch,
+            },
+        );
+    }
+
+    fn on_proc_done(
+        &mut self,
+        now: SimTime,
+        q: QueryId,
+        demand: usize,
+        node: ComputeNodeId,
+        epoch: u32,
+    ) {
+        if self.node_epoch[node.index()] != epoch {
+            // The node died (and possibly recovered) since this work was
+            // scheduled: the work is lost, and its compute was
+            // re-baselined at recovery — freeing it here would
+            // double-count.
+            return;
+        }
+        // Release compute and wake queued demands regardless of whether
+        // the owning query is still alive.
+        let inst = self.inst;
+        let d = inst.query(q).demands[demand].dataset;
+        let need = inst.size(d) * inst.query(q).compute_rate;
+        self.free_ghz[node.index()] += need;
+        while let Some(w) = self.waiting[node.index()].front().copied() {
+            if self.free_ghz[node.index()] + 1e-9 < w.need_ghz {
+                break;
+            }
+            self.waiting[node.index()].pop_front();
+            self.free_ghz[node.index()] -= w.need_ghz;
+            let wait_s = now.as_secs_f64() - w.enqueued.as_secs_f64();
+            self.tally.queue_wait_sum_s += wait_s;
+            if self.trace_debug {
+                obs::emit_debug(
+                    "sim",
+                    "sim.run",
+                    "demand.dequeued",
+                    &[
+                        ("query", w.q.index().into()),
+                        ("demand", w.demand.into()),
+                        ("node", node.index().into()),
+                        ("wait_s", wait_s.into()),
+                    ],
+                );
+            }
+            // EC gather + decode overhead still applies when the demand
+            // dequeues after a compute wait.
+            let extra_s = self.runs[w.q.index()]
+                .as_ref()
+                .map_or(0.0, |r| r.read_extra[w.demand]);
+            self.schedule_proc(now, w.q, w.demand, node, epoch, extra_s);
+        }
+        // Poisoned queries produce nothing further.
+        let Some(run) = self.runs[q.index()].as_mut() else {
+            return;
+        };
+        // Evaluate the analytics for real, then ship the result. Its own
+        // span: real computation must not hide inside the event loop's
+        // self time in profiles.
+        let partial = {
+            let _analytics_span = obs::span("sim", "sim.analytics");
+            evaluate(
+                self.world.query_kinds[q.index()],
+                &self.world.records[d.index()],
+            )
+        };
+        run.partials[demand] = Some(partial);
+        let query = inst.query(q);
+        let result_gb = query.demands[demand].selectivity * inst.size(d);
+        let kind = XferKind::Result {
+            q,
+            demand,
+            source: node,
+        };
+        self.new_job(now, kind, query.home, result_gb);
+        self.pump(now);
+    }
+
+    fn on_transfer_done(&mut self, now: SimTime, q: QueryId, demand: usize) {
+        let Some(run) = self.runs[q.index()].as_mut() else {
+            return; // poisoned by a fault mid-flight
+        };
+        run.incomplete[demand] = false;
+        run.outstanding -= 1;
+        run.finish = run.finish.max(now);
+        if run.outstanding > 0 {
+            return;
+        }
+        let (arrival, finish) = (run.arrival, run.finish);
+        let partials: Vec<AnalyticsResult> = run.partials.iter().flatten().cloned().collect();
+        self.tally.completed.push((q, arrival, finish));
+        let resp = finish.as_secs_f64() - arrival.as_secs_f64();
+        let deadline = self.inst.query(q).deadline;
+        if let Some(tc) = self.cfg.debug_trace {
+            if resp > deadline + 1e-9 && self.tally.qos_miss_dumps < tc.max_dumps {
+                self.tally.qos_miss_dumps += 1;
+                obs::emit(
+                    "sim",
+                    "sim.run",
+                    "qos_miss.replay.begin",
+                    &[
+                        ("query", q.index().into()),
+                        ("response_s", resp.into()),
+                        ("deadline_s", deadline.into()),
+                        ("entries", self.ring.len().into()),
+                    ],
+                );
+                for &(et, kind, a, b) in &self.ring {
+                    obs::emit(
+                        "sim",
+                        "sim.run",
+                        "qos_miss.replay",
+                        &[
+                            ("t_s", et.as_secs_f64().into()),
+                            ("event", kind.into()),
+                            ("a", a.into()),
+                            ("b", b.into()),
+                        ],
+                    );
+                }
+            }
+        }
+        if self.trace_debug {
+            obs::emit_debug(
+                "sim",
+                "sim.run",
+                "query.done",
+                &[("query", q.index().into()), ("response_s", resp.into())],
+            );
+        }
+        if let Some(answer) = merge(partials) {
+            self.tally.answers.push((q, answer));
+        }
+    }
+
+    fn on_node_down(&mut self, now: SimTime, node: ComputeNodeId) {
+        let idx = node.index();
+        self.downs_active[idx] += 1;
+        if self.downs_active[idx] > 1 {
+            return; // already down (overlapping windows nest)
+        }
+        self.alive[idx] = false;
+        self.node_epoch[idx] = self.node_epoch[idx].wrapping_add(1);
+        self.down_since[idx] = Some(now);
+        self.waiting[idx].clear();
+        // Poison every active query with an incomplete demand on the
+        // failing node: its in-flight work is gone.
+        for run_slot in self.runs.iter_mut() {
+            let poisoned = run_slot.as_ref().is_some_and(|run| {
+                run.nodes
+                    .iter()
+                    .zip(run.incomplete.iter())
+                    .any(|(&n, &inc)| inc && n == node)
+            });
+            if poisoned {
+                *run_slot = None;
+                self.tally.queries_lost += 1;
+            }
+        }
+        // Orphan the node's replicas; remember them so a recovery can
+        // bring them back.
+        let orphans = self.live_sol.remove_node_replicas(node);
+        if self.trace_debug {
+            obs::emit_debug(
+                "sim",
+                "sim.run",
+                "node.down",
+                &[("node", idx.into()), ("orphans", orphans.len().into())],
+            );
+        }
+        self.held_at_down[idx] = orphans;
+        // Flows touching the dead node react now instead of flying on to
+        // a void completion.
+        self.refresh_flows(now);
+        self.pump(now);
+        // Controller repair: re-place orphaned replicas on live feasible
+        // nodes, timed as real transfers.
+        if self.cfg.repair {
+            let actions = repair::plan_replacements(
+                self.inst,
+                &self.planning_view(),
+                &self.alive,
+                &self.target_counts,
+            );
+            self.schedule_repairs(now, actions);
+        }
+    }
+
+    fn on_node_up(&mut self, now: SimTime, node: ComputeNodeId) {
+        let idx = node.index();
+        if self.downs_active[idx] == 0 {
+            return; // spurious recovery
+        }
+        self.downs_active[idx] -= 1;
+        if self.downs_active[idx] > 0 {
+            return; // still inside another outage window
+        }
+        self.alive[idx] = true;
+        // The node returns empty of work: full compute.
+        self.free_ghz[idx] = self.inst.cloud().available(node);
+        if let Some(since) = self.down_since[idx].take() {
+            self.tally.node_downtime_s += now.as_secs_f64() - since.as_secs_f64();
+        }
+        // Its local replicas survive the outage on disk: re-admit them
+        // where the dataset is still under budget.
+        for d in std::mem::take(&mut self.held_at_down[idx]) {
+            if self.live_sol.replica_count(d) < self.inst.slots(d)
+                && !self.live_sol.has_replica(d, node)
+            {
+                self.live_sol.place_replica(d, node);
+            }
+        }
+        // Recovered replicas widen every repair swarm.
+        self.refresh_flows(now);
+        self.pump(now);
+        if self.trace_debug {
+            obs::emit_debug("sim", "sim.run", "node.up", &[("node", idx.into())]);
+        }
+    }
+
+    /// Link timing comes from `FaultPlan::link_factor`: in-flight flows
+    /// are re-priced (or parked) at every transition.
+    fn on_link_change(&mut self, now: SimTime, what: &str, a: ComputeNodeId, b: ComputeNodeId) {
+        self.refresh_flows(now);
+        self.pump(now);
+        if self.trace_debug {
+            obs::emit_debug(
+                "sim",
+                "sim.run",
+                what,
+                &[("a", a.index().into()), ("b", b.index().into())],
+            );
+        }
+    }
+
+    fn on_repair_done(&mut self, now: SimTime, job: usize) {
+        let j = &self.jobs[job];
+        let XferKind::Repair {
+            dataset,
+            dest_epoch,
+        } = j.kind
+        else {
+            return;
+        };
+        // Valid only if the target survived since launch and the dataset
+        // still wants the replica.
+        if self.node_epoch[j.dest.index()] == dest_epoch
+            && self.live_sol.replica_count(dataset) < self.inst.slots(dataset)
+            && !self.live_sol.has_replica(dataset, j.dest)
+        {
+            self.live_sol.place_replica(dataset, j.dest);
+            self.tally.repairs_completed += 1;
+            self.tally.repair_gb += j.gb;
+            self.tally.repair_durations.push(now.secs_since(j.born));
+            if self.trace_debug {
+                obs::emit_debug(
+                    "sim",
+                    "sim.run",
+                    "repair.done",
+                    &[
+                        ("dataset", dataset.index().into()),
+                        ("node", j.dest.index().into()),
+                    ],
+                );
+            }
+        }
+    }
+
+    fn on_consistency_check(&mut self, now: SimTime) {
+        let c = self
+            .cfg
+            .consistency
+            .expect("check scheduled only with config");
+        // Accrue growth since the last check.
+        let dt_h = (now.as_secs_f64() - self.last_growth.as_secs_f64()) / 3600.0;
+        self.last_growth = now;
+        for g in &mut self.new_data_gb {
+            *g += c.growth_gb_per_hour * dt_h;
+        }
+        // Push updates where the threshold is crossed.
+        for d in self.inst.dataset_ids() {
+            let gb = self.new_data_gb[d.index()];
+            if gb / self.inst.size(d) >= c.threshold {
+                self.push_update(now, d, gb);
+                self.new_data_gb[d.index()] = 0.0;
+            }
+        }
+        self.pump(now);
+        // Keep checking until the query phase has drained.
+        if now <= self.query_horizon {
+            self.queue
+                .push(now.after_secs(c.check_interval_s), Event::ConsistencyCheck);
+        }
+    }
+
+    /// Accounts one §2.4 update round of `gb` new GB for dataset `d` and
+    /// pushes it to every live replica as Scheduled-tier engine flows, so
+    /// consistency traffic contends with (and yields to) result transfers.
+    fn push_update(&mut self, now: SimTime, d: DatasetId, gb: f64) {
+        let origin = self.inst.dataset(d).origin;
+        let replicas: Vec<ComputeNodeId> = self.plan.replicas_of(d).to_vec();
+        let synced = replicas.iter().filter(|&&v| v != origin).count();
+        if synced == 0 {
+            return;
+        }
+        self.tally.consistency_gb += gb * synced as f64;
+        self.tally.consistency_rounds += 1;
+        if gb > 0.0 && self.alive[origin.index()] {
+            for v in replicas {
+                if v == origin || !self.alive[v.index()] {
+                    continue;
+                }
+                let Some(p) = self.source_path(origin, v, now) else {
+                    continue;
+                };
+                let ledger = ChunkLedger::new(gb, self.eng.config().chunk_gb);
+                let owner = EngineOwner::Consistency {
+                    source: origin,
+                    dest: v,
+                };
+                self.begin(now, owner, FlowTier::Scheduled, None, ledger, &[p]);
+            }
+        }
+        if self.trace_debug {
+            obs::emit_debug(
+                "sim",
+                "sim.run",
+                "consistency.sync",
+                &[
+                    ("dataset", d.index().into()),
+                    ("replicas_synced", synced.into()),
+                    ("gb", (gb * synced as f64).into()),
+                ],
+            );
+        }
+    }
+
+    fn on_scrub(&mut self, now: SimTime) {
+        let interval = self
+            .cfg
+            .scrub_interval_s
+            .expect("scrub scheduled only with config");
+        let (actions, _outcome) = repair::scrub(
+            now.as_secs_f64(),
+            self.inst,
+            &self.planning_view(),
+            &self.alive,
+            &self.target_counts,
+        );
+        self.schedule_repairs(now, actions);
+        // Keep scrubbing until the query phase has drained.
+        if now <= self.query_horizon {
+            self.queue.push(now.after_secs(interval), Event::Scrub);
+        }
+    }
+
+    fn on_slo_sample(&mut self, now: SimTime) {
+        let interval = self
+            .cfg
+            .slo_sample_interval_s
+            .expect("sample scheduled only with config");
+        let sample = self.slo_sample(now.as_secs_f64());
+        self.tally.slo_series.push(sample);
+        // Keep sampling until the query phase has drained.
+        if now <= self.query_horizon {
+            self.queue.push(now.after_secs(interval), Event::SloSample);
+        }
+    }
+
+    /// The live plan plus every in-flight repair's target, so repair
+    /// planners never double-book a replica slot.
+    fn planning_view(&self) -> Solution {
+        let mut planning = self.live_sol.clone();
+        for j in &self.jobs {
+            if let XferKind::Repair {
+                dataset,
+                dest_epoch,
+            } = j.kind
+            {
+                if !j.resolved && self.node_epoch[j.dest.index()] == dest_epoch {
+                    planning.place_replica(dataset, j.dest);
+                }
+            }
+        }
+        planning
+    }
+
+    fn schedule_repairs(&mut self, now: SimTime, actions: Vec<repair::RepairAction>) {
+        for a in actions {
+            self.tally.repairs_scheduled += 1;
+            let kind = XferKind::Repair {
+                dataset: a.dataset,
+                dest_epoch: self.node_epoch[a.target.index()],
+            };
+            self.new_job(now, kind, a.target, a.gb);
+        }
+        self.pump(now);
+    }
+
+    /// Creates a transfer job and launches it at once.
+    fn new_job(&mut self, now: SimTime, kind: XferKind, dest: ComputeNodeId, gb: f64) {
+        self.jobs.push(XferJob {
+            kind,
+            dest,
+            gb,
+            attempts: 0,
+            resolved: false,
+            born: now,
+            parked: None,
+            active: None,
+        });
+        self.launch(now, self.jobs.len() - 1);
+    }
+
+    /// Builds the [`SourcePath`] for one (source, dest) pair, or `None`
+    /// when the path is partitioned right now.
+    fn source_path(
+        &self,
+        source: ComputeNodeId,
+        dest: ComputeNodeId,
+        now: SimTime,
+    ) -> Option<SourcePath> {
+        let factor = self.fault_plan.link_factor(source, dest, now.as_secs_f64());
+        if factor.is_infinite() {
+            return None;
+        }
+        Some(SourcePath {
+            node: source.index(),
+            delay_s_per_gb: self.inst.cloud().min_delay(source, dest),
+            factor,
+        })
+    }
+
+    /// Every reachable live holder of `dataset` (nearest first), as engine
+    /// source paths; truncated to the single nearest when multi-source
+    /// fetch is off.
+    fn repair_sources(
+        &self,
+        dataset: DatasetId,
+        dest: ComputeNodeId,
+        now: SimTime,
+    ) -> Vec<SourcePath> {
+        let mut srcs: Vec<SourcePath> =
+            repair::pick_sources(self.inst, &self.live_sol, &self.alive, dataset, dest)
+                .into_iter()
+                .filter_map(|s| self.source_path(s, dest, now))
+                .collect();
+        if !self.eng.config().multi_source {
+            srcs.truncate(1);
+        }
+        srcs
+    }
+
+    /// Launches job `job` on the engine — resuming its parked ledger —
+    /// or, while it has no usable source, retries it with capped
+    /// exponential backoff and finally abandons it (counted, never a
+    /// panic).
+    fn launch(&mut self, now: SimTime, job: usize) {
+        let j = &self.jobs[job];
+        if j.resolved || j.active.is_some() {
+            return; // delivered, abandoned, or relaunched by an earlier event
+        }
+        let (dest, attempts) = (j.dest, j.attempts);
+        let (label, tier, dataset, srcs) = match j.kind {
+            XferKind::Result { q, source, .. } => {
+                if self.runs[q.index()].is_none() {
+                    self.jobs[job].resolved = true; // poisoned
+                    return;
+                }
+                let srcs: Vec<SourcePath> =
+                    self.source_path(source, dest, now).into_iter().collect();
+                ("result", FlowTier::Immediate, None, srcs)
+            }
+            XferKind::Repair {
+                dataset,
+                dest_epoch,
+            } => {
+                if self.node_epoch[dest.index()] != dest_epoch {
+                    self.jobs[job].resolved = true; // target died
+                    return;
+                }
+                let srcs = self.repair_sources(dataset, dest, now);
+                ("repair", FlowTier::Background, Some(dataset), srcs)
+            }
+        };
+        if srcs.is_empty() {
+            if attempts < XFER_MAX_ATTEMPTS {
+                self.jobs[job].attempts += 1;
+                match dataset {
+                    None => self.tally.transfer_retries += 1,
+                    Some(_) => self.tally.repair_retries += 1,
+                }
+                self.queue.push(
+                    now.after_secs(backoff_s(attempts)),
+                    Event::RetryTransfer { job },
+                );
+                return;
+            }
+            // No live holder at all, or holders exist but every path is
+            // partitioned.
+            self.jobs[job].resolved = true;
+            let dead_source = dataset.is_some_and(|d| {
+                repair::pick_sources(self.inst, &self.live_sol, &self.alive, d, dest).is_empty()
+            });
+            let reason = if dead_source {
+                self.tally.abandoned_dead_source += 1;
+                "dead-source"
+            } else {
+                self.tally.abandoned_partitioned += 1;
+                "partitioned"
+            };
+            if let XferKind::Result { q, .. } = self.jobs[job].kind {
+                // The result never got home: the query is lost, not the run.
+                self.runs[q.index()] = None;
+                self.tally.queries_lost += 1;
+            }
+            obs::emit(
+                "sim",
+                "sim.run",
+                "transfer.abandoned",
+                &[
+                    ("kind", label.into()),
+                    ("reason", reason.into()),
+                    ("job", job.into()),
+                    ("attempts", (attempts as usize).into()),
+                ],
+            );
+            return;
+        }
+        let chunk_gb = self.eng.config().chunk_gb;
+        let j = &mut self.jobs[job];
+        let ledger = j
+            .parked
+            .take()
+            .unwrap_or_else(|| ChunkLedger::new(j.gb, chunk_gb));
+        if ledger.verified_count() > 0 {
+            self.tally.transfer_resumes += 1;
+            self.tally.chunk_gb_saved += ledger.verified_gb();
+            obs::emit(
+                "sim",
+                "sim.run",
+                "transfer.resume",
+                &[
+                    ("kind", label.into()),
+                    ("job", job.into()),
+                    ("verified_gb", ledger.verified_gb().into()),
+                    ("missing_gb", ledger.missing_gb().into()),
+                ],
+            );
+        }
+        let dataset = dataset.map(|d| d.index());
+        let tid = self.begin(now, EngineOwner::Job(job), tier, dataset, ledger, &srcs);
+        self.jobs[job].active = Some(tid);
+    }
+
+    /// Starts an engine transfer on behalf of `owner`.
+    fn begin(
+        &mut self,
+        now: SimTime,
+        owner: EngineOwner,
+        tier: FlowTier,
+        dataset: Option<usize>,
+        ledger: ChunkLedger,
+        sources: &[SourcePath],
+    ) -> usize {
+        let tid = self.eng.begin(now, tier, dataset, ledger, sources);
+        debug_assert_eq!(tid, self.owners.len());
+        self.owners.push(owner);
+        tid
+    }
+
+    /// Interrupts job `job`'s in-flight transfer `tid`: the ledger
+    /// (verified chunks intact unless resume is off) is parked on the job
+    /// and a retry is scheduled immediately — [`Sim::launch`] owns backoff
+    /// and abandonment.
+    fn park(&mut self, now: SimTime, tid: usize, job: usize) {
+        let mut ledger = self.eng.cancel(now, tid);
+        if !self.eng.config().resume {
+            ledger.reset();
+        }
+        self.jobs[job].parked = Some(ledger);
+        self.jobs[job].active = None;
+        self.queue.push(now, Event::RetryTransfer { job });
+    }
+
+    /// Cancels job `job`'s in-flight transfer `tid` for good.
+    fn void(&mut self, now: SimTime, tid: usize, job: usize) {
+        self.eng.cancel(now, tid);
+        self.jobs[job].resolved = true;
+        self.jobs[job].active = None;
+    }
+
+    /// Re-prices every in-flight transfer after a node or link transition:
+    /// path factors are re-read from the fault plan; transfers touching a
+    /// dead node are dropped (fire-and-forget traffic) or voided (results
+    /// of poisoned queries, repairs whose target died); partitioned
+    /// results and repairs left without a reachable holder park; repair
+    /// swarms are recomputed over the reachable live holders.
+    fn refresh_flows(&mut self, now: SimTime) {
+        for tid in self.eng.live().to_vec() {
+            if self.eng.is_done(tid) {
+                continue; // finished while an earlier transfer re-settled
+            }
+            match self.owners[tid] {
+                EngineOwner::Consistency { source, dest }
+                | EngineOwner::Gather { source, dest } => {
+                    let path = self.source_path(source, dest, now);
+                    match path.filter(|_| self.alive[source.index()] && self.alive[dest.index()]) {
+                        Some(p) => self.eng.set_sources(now, tid, &[p]),
+                        None => {
+                            self.eng.cancel(now, tid);
+                        }
+                    }
+                }
+                EngineOwner::Job(job) => {
+                    let j = &self.jobs[job];
+                    let srcs = match j.kind {
+                        XferKind::Result { q, source, .. } => {
+                            // A source death poisoned the run: its in-flight
+                            // bytes die with it.
+                            if self.runs[q.index()].is_none() {
+                                self.void(now, tid, job);
+                                continue;
+                            }
+                            self.source_path(source, j.dest, now).into_iter().collect()
+                        }
+                        XferKind::Repair {
+                            dataset,
+                            dest_epoch,
+                        } => {
+                            if self.node_epoch[j.dest.index()] != dest_epoch {
+                                self.void(now, tid, job); // target died
+                                continue;
+                            }
+                            self.repair_sources(dataset, j.dest, now)
+                        }
+                    };
+                    if srcs.is_empty() {
+                        self.park(now, tid, job);
+                    } else {
+                        self.eng.set_sources(now, tid, &srcs);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drains engine completions due by `now` (pushing `TransferDone` /
+    /// `RepairDone` at the completion instant) and keeps exactly one
+    /// fresh `FlowProgress` event queued at the engine's next predicted
+    /// completion.
+    fn pump(&mut self, now: SimTime) {
+        for tid in self.eng.advance(now) {
+            let dur = now.secs_since(self.eng.started(tid));
+            let ti = self.eng.tier(tid).index();
+            self.tally.tier_sum_s[ti] += dur;
+            self.tally.tier_count[ti] += 1;
+            let EngineOwner::Job(job) = self.owners[tid] else {
+                continue;
+            };
+            let j = &mut self.jobs[job];
+            j.resolved = true;
+            j.active = None;
+            match j.kind {
+                XferKind::Result { q, demand, .. } => {
+                    self.tally.transfer_durations.push(dur);
+                    self.queue.push(now, Event::TransferDone { q, demand });
+                }
+                XferKind::Repair { .. } => self.queue.push(now, Event::RepairDone { job }),
+            }
+        }
+        if let Some((at, generation)) = self.eng.next_event() {
+            if generation != self.last_pushed_gen {
+                self.last_pushed_gen = generation;
+                self.queue.push(at, Event::FlowProgress { generation });
+            }
+        }
+    }
+
+    /// Snapshot of SLO state at `t_s` (see
+    /// [`SimConfig::slo_sample_interval_s`]).
+    fn slo_sample(&self, t_s: f64) -> SloSample {
+        let t = &self.tally;
+        let misses = t
+            .completed
+            .iter()
+            .filter(|&&(q, arrival, finish)| {
+                finish.as_secs_f64() - arrival.as_secs_f64() > self.inst.query(q).deadline + 1e-9
+            })
+            .count();
+        SloSample {
+            t_s,
+            availability: availability(t.queries_lost, self.plan.admitted_count()),
+            qos_miss_rate: if t.completed.is_empty() {
+                0.0
+            } else {
+                misses as f64 / t.completed.len() as f64
+            },
+            repair_backlog: t.repairs_scheduled.saturating_sub(t.repairs_completed),
+            prefetch_gb: t.replication_gb + t.repair_gb,
+            forecast_wmape: None,
+        }
+    }
+
+    /// Closes the run: final SLO sample, downtime of nodes still down,
+    /// metric flush, and the report.
+    fn finish(mut self, algorithm: &'static str) -> TestbedReport {
+        let inst = self.inst;
+        let last_event_t = self.tally.last_event_t;
+        if self.cfg.slo_sample_interval_s.is_some() {
+            // Close the series at drain time so the final state is always
+            // a row even when the run is shorter than one interval.
+            let sample = self.slo_sample(last_event_t.as_secs_f64());
+            self.tally.slo_series.push(sample);
+        }
+        let t = self.tally;
+        let mut node_downtime_s = t.node_downtime_s;
+        // Nodes still down when the sim drains accrue downtime to the end.
+        for t0 in self.down_since.into_iter().flatten() {
             node_downtime_s += last_event_t.as_secs_f64() - t0.as_secs_f64();
         }
-    }
-    let mut measured_volume = 0.0;
-    let mut measured_admitted = 0usize;
-    let mut response_sum = 0.0;
-    let mut response_max: f64 = 0.0;
-    let mut responses = Vec::with_capacity(completed.len());
-    for &(q, arrival, finish) in &completed {
-        let resp = finish.as_secs_f64() - arrival.as_secs_f64();
-        response_sum += resp;
-        response_max = response_max.max(resp);
-        responses.push(resp);
-        if resp <= inst.query(q).deadline + 1e-9 {
-            measured_admitted += 1;
-            measured_volume += inst.demanded_volume(q);
+        let mut measured_volume = 0.0;
+        let mut measured_admitted = 0usize;
+        let mut response_sum = 0.0;
+        let mut response_max: f64 = 0.0;
+        let mut responses = Vec::with_capacity(t.completed.len());
+        for &(q, arrival, finish) in &t.completed {
+            let resp = finish.as_secs_f64() - arrival.as_secs_f64();
+            response_sum += resp;
+            response_max = response_max.max(resp);
+            responses.push(resp);
+            if resp <= inst.query(q).deadline + 1e-9 {
+                measured_admitted += 1;
+                measured_volume += inst.demanded_volume(q);
+            }
+        }
+        responses.sort_by(|a, b| a.partial_cmp(b).expect("finite responses"));
+        let percentile = |p: f64| -> f64 {
+            if responses.is_empty() {
+                0.0
+            } else {
+                let idx = ((responses.len() as f64 - 1.0) * p).round() as usize;
+                responses[idx]
+            }
+        };
+        let plan = self.plan;
+        let planned_admitted = plan.admitted_count();
+        let mean_queue_wait_s = if t.demands_started == 0 {
+            0.0
+        } else {
+            t.queue_wait_sum_s / t.demands_started as f64
+        };
+        // Sorted-order sums: the mean depends only on the multiset of
+        // durations, never on completion order.
+        let sorted_mean = |mut v: Vec<f64>| -> f64 {
+            if v.is_empty() {
+                return 0.0;
+            }
+            v.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
+            let n = v.len() as f64;
+            v.into_iter().sum::<f64>() / n
+        };
+        let mean_transfer_s = sorted_mean(t.transfer_durations);
+        let repair_completion_mean_s = sorted_mean(t.repair_durations);
+        let tier_completion_mean_s = std::array::from_fn(|i| {
+            if t.tier_count[i] == 0 {
+                0.0
+            } else {
+                t.tier_sum_s[i] / t.tier_count[i] as f64
+            }
+        });
+        let availability = availability(t.queries_lost, planned_admitted);
+        let storage_gb = plan.storage_gb(inst);
+        let abandoned = t.abandoned_dead_source + t.abandoned_partitioned;
+        for (name, n) in [
+            ("sim.events", t.events_processed),
+            ("sim.demands", t.demands_started),
+            ("sim.demands_queued", t.demands_queued),
+            ("sim.failovers", t.failovers as u64),
+            ("sim.queries_lost", t.queries_lost as u64),
+            ("sim.repairs_scheduled", t.repairs_scheduled as u64),
+            ("sim.repairs_completed", t.repairs_completed as u64),
+            ("sim.repair_retries", t.repair_retries as u64),
+            ("sim.transfer_retries", t.transfer_retries as u64),
+            ("sim.transfer_resumes", t.transfer_resumes as u64),
+            ("sim.transfers_abandoned", abandoned as u64),
+        ] {
+            obs::counter(name).add(n);
+        }
+        obs::gauge("sim.peak_event_queue").set_max(t.peak_event_queue as f64);
+        obs::gauge("sim.node_downtime_s").set_max(node_downtime_s);
+        obs::emit(
+            "sim",
+            "sim.run",
+            "sim.summary",
+            &[
+                ("algorithm", algorithm.into()),
+                ("events", t.events_processed.into()),
+                ("peak_event_queue", t.peak_event_queue.into()),
+                ("demands", t.demands_started.into()),
+                ("demands_queued", t.demands_queued.into()),
+                ("mean_queue_wait_s", mean_queue_wait_s.into()),
+                ("mean_transfer_s", mean_transfer_s.into()),
+                ("consistency_gb", t.consistency_gb.into()),
+                ("consistency_rounds", t.consistency_rounds.into()),
+                ("measured_admitted", measured_admitted.into()),
+                ("failovers", t.failovers.into()),
+                ("degraded_reads", t.degraded_reads.into()),
+                ("storage_gb", storage_gb.into()),
+                ("queries_lost", t.queries_lost.into()),
+                ("repairs_scheduled", t.repairs_scheduled.into()),
+                ("repairs_completed", t.repairs_completed.into()),
+                ("transfer_resumes", t.transfer_resumes.into()),
+                ("chunk_gb_saved", t.chunk_gb_saved.into()),
+                ("abandoned_dead_source", t.abandoned_dead_source.into()),
+                ("abandoned_partitioned", t.abandoned_partitioned.into()),
+                ("availability", availability.into()),
+            ],
+        );
+        let total_queries = inst.queries().len();
+        TestbedReport {
+            algorithm,
+            planned_volume: plan.admitted_volume(inst),
+            planned_admitted,
+            measured_volume,
+            measured_admitted,
+            total_queries,
+            measured_throughput: if total_queries == 0 {
+                0.0
+            } else {
+                measured_admitted as f64 / total_queries as f64
+            },
+            mean_response_s: if t.completed.is_empty() {
+                0.0
+            } else {
+                response_sum / t.completed.len() as f64
+            },
+            p50_response_s: percentile(0.5),
+            p95_response_s: percentile(0.95),
+            max_response_s: response_max,
+            replication_gb: t.replication_gb,
+            replication_time_s: t.replication_time_s,
+            consistency_gb: t.consistency_gb,
+            consistency_rounds: t.consistency_rounds,
+            failovers: t.failovers,
+            degraded_reads: t.degraded_reads,
+            storage_gb,
+            queries_lost_to_faults: t.queries_lost,
+            repairs_scheduled: t.repairs_scheduled,
+            repairs_completed: t.repairs_completed,
+            repair_gb: t.repair_gb,
+            repair_retries: t.repair_retries,
+            transfer_retries: t.transfer_retries,
+            transfer_resumes: t.transfer_resumes,
+            chunk_gb_saved: t.chunk_gb_saved,
+            abandoned_dead_source: t.abandoned_dead_source,
+            abandoned_partitioned: t.abandoned_partitioned,
+            repair_completion_mean_s,
+            tier_completion_mean_s,
+            node_downtime_s,
+            availability,
+            qos_miss_dumps: t.qos_miss_dumps,
+            live_plan: self.live_sol,
+            mean_queue_wait_s,
+            mean_transfer_s,
+            events_processed: t.events_processed,
+            peak_event_queue: t.peak_event_queue,
+            answers: t.answers,
+            slo_series: t.slo_series,
+            plan,
         }
     }
-    responses.sort_by(|a, b| a.partial_cmp(b).expect("finite responses"));
-    let percentile = |p: f64| -> f64 {
-        if responses.is_empty() {
-            0.0
-        } else {
-            let idx = ((responses.len() as f64 - 1.0) * p).round() as usize;
-            responses[idx]
-        }
-    };
-    let planned_volume = plan.admitted_volume(inst);
-    let mean_queue_wait_s = if demands_started == 0 {
-        0.0
-    } else {
-        queue_wait_sum_s / demands_started as f64
-    };
-    // Sorted-order sums: the mean depends only on the multiset of
-    // durations, never on completion order.
-    let sorted_mean = |mut v: Vec<f64>| -> f64 {
-        if v.is_empty() {
-            return 0.0;
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
-        let n = v.len() as f64;
-        v.into_iter().sum::<f64>() / n
-    };
-    let mean_transfer_s = sorted_mean(transfer_durations);
-    let repair_completion_mean_s = sorted_mean(repair_durations);
-    let tier_completion_mean_s = [
-        if tier_count[0] == 0 {
-            0.0
-        } else {
-            tier_sum_s[0] / tier_count[0] as f64
-        },
-        if tier_count[1] == 0 {
-            0.0
-        } else {
-            tier_sum_s[1] / tier_count[1] as f64
-        },
-        if tier_count[2] == 0 {
-            0.0
-        } else {
-            tier_sum_s[2] / tier_count[2] as f64
-        },
-    ];
-    let availability = if planned_admitted == 0 {
+}
+
+/// Fraction of `planned_admitted` queries not lost (`1.0` when nothing
+/// was planned).
+fn availability(queries_lost: usize, planned_admitted: usize) -> f64 {
+    if planned_admitted == 0 {
         1.0
     } else {
         (1.0 - queries_lost as f64 / planned_admitted as f64).max(0.0)
-    };
-    obs::counter("sim.events").add(events_processed);
-    obs::counter("sim.demands").add(demands_started);
-    obs::counter("sim.demands_queued").add(demands_queued);
-    obs::counter("sim.failovers").add(failovers as u64);
-    obs::counter("sim.queries_lost").add(queries_lost as u64);
-    obs::counter("sim.repairs_scheduled").add(repairs_scheduled as u64);
-    obs::counter("sim.repairs_completed").add(repairs_completed as u64);
-    obs::counter("sim.repair_retries").add(repair_retries as u64);
-    obs::counter("sim.transfer_retries").add(transfer_retries as u64);
-    obs::counter("sim.transfer_resumes").add(transfer_resumes as u64);
-    obs::counter("sim.transfers_abandoned")
-        .add((abandoned_dead_source + abandoned_partitioned) as u64);
-    obs::gauge("sim.peak_event_queue").set_max(peak_event_queue as f64);
-    obs::gauge("sim.node_downtime_s").set_max(node_downtime_s);
-    obs::emit(
-        "sim",
-        "sim.run",
-        "sim.summary",
-        &[
-            ("algorithm", alg.name().into()),
-            ("events", events_processed.into()),
-            ("peak_event_queue", peak_event_queue.into()),
-            ("demands", demands_started.into()),
-            ("demands_queued", demands_queued.into()),
-            ("mean_queue_wait_s", mean_queue_wait_s.into()),
-            ("mean_transfer_s", mean_transfer_s.into()),
-            ("consistency_gb", consistency_gb.into()),
-            ("consistency_rounds", consistency_rounds.into()),
-            ("measured_admitted", measured_admitted.into()),
-            ("failovers", failovers.into()),
-            ("degraded_reads", degraded_reads.into()),
-            ("storage_gb", plan.storage_gb(inst).into()),
-            ("queries_lost", queries_lost.into()),
-            ("repairs_scheduled", repairs_scheduled.into()),
-            ("repairs_completed", repairs_completed.into()),
-            ("transfer_resumes", transfer_resumes.into()),
-            ("chunk_gb_saved", chunk_gb_saved.into()),
-            ("abandoned_dead_source", abandoned_dead_source.into()),
-            ("abandoned_partitioned", abandoned_partitioned.into()),
-            ("availability", availability.into()),
-        ],
-    );
-    Ok(TestbedReport {
-        algorithm: alg.name(),
-        planned_volume,
-        planned_admitted,
-        measured_volume,
-        measured_admitted,
-        total_queries: inst.queries().len(),
-        measured_throughput: if inst.queries().is_empty() {
-            0.0
-        } else {
-            measured_admitted as f64 / inst.queries().len() as f64
-        },
-        mean_response_s: if completed.is_empty() {
-            0.0
-        } else {
-            response_sum / completed.len() as f64
-        },
-        p50_response_s: percentile(0.5),
-        p95_response_s: percentile(0.95),
-        max_response_s: response_max,
-        replication_gb,
-        replication_time_s,
-        consistency_gb,
-        consistency_rounds,
-        failovers,
-        degraded_reads,
-        storage_gb: plan.storage_gb(inst),
-        queries_lost_to_faults: queries_lost,
-        repairs_scheduled,
-        repairs_completed,
-        repair_gb,
-        repair_retries,
-        transfer_retries,
-        transfer_resumes,
-        chunk_gb_saved,
-        abandoned_dead_source,
-        abandoned_partitioned,
-        repair_completion_mean_s,
-        tier_completion_mean_s,
-        node_downtime_s,
-        availability,
-        qos_miss_dumps,
-        live_plan: live_sol,
-        mean_queue_wait_s,
-        mean_transfer_s,
-        events_processed,
-        peak_event_queue,
-        answers,
-        slo_series,
-        plan,
-    })
-}
-
-/// Snapshot of SLO state mid-run (see [`SimConfig::slo_sample_interval_s`]).
-#[allow(clippy::too_many_arguments)]
-fn snapshot_slo(
-    t_s: f64,
-    inst: &edgerep_model::Instance,
-    completed: &[(QueryId, SimTime, SimTime)],
-    queries_lost: usize,
-    planned_admitted: usize,
-    repairs_scheduled: usize,
-    repairs_completed: usize,
-    prefetch_gb: f64,
-) -> SloSample {
-    let misses = completed
-        .iter()
-        .filter(|&&(q, arrival, finish)| {
-            finish.as_secs_f64() - arrival.as_secs_f64() > inst.query(q).deadline + 1e-9
-        })
-        .count();
-    SloSample {
-        t_s,
-        availability: if planned_admitted == 0 {
-            1.0
-        } else {
-            (1.0 - queries_lost as f64 / planned_admitted as f64).max(0.0)
-        },
-        qos_miss_rate: if completed.is_empty() {
-            0.0
-        } else {
-            misses as f64 / completed.len() as f64
-        },
-        repair_backlog: repairs_scheduled.saturating_sub(repairs_completed),
-        prefetch_gb,
-        forecast_wmape: None,
     }
 }
 
@@ -2237,6 +1783,16 @@ mod tests {
     use crate::topology::{build_testbed_instance, TestbedConfig};
     use edgerep_core::appro::{ApproG, ApproS};
     use edgerep_core::popularity::Popularity;
+
+    /// One run under `faults` (permanent node failures; empty = none).
+    fn run(
+        alg: &dyn PlacementAlgorithm,
+        world: &TestbedWorld,
+        cfg: &SimConfig,
+        faults: &[NodeFailure],
+    ) -> TestbedReport {
+        try_run_testbed_with_plan(alg, world, cfg, &FaultPlan::from_failures(faults)).unwrap()
+    }
 
     fn small_world(f: usize, k: usize) -> TestbedWorld {
         let cfg = TestbedConfig {
@@ -2258,7 +1814,7 @@ mod tests {
     #[test]
     fn run_produces_consistent_accounting() {
         let world = small_world(2, 3);
-        let report = run_testbed(&ApproG::default(), &world, &SimConfig::default());
+        let report = run(&ApproG::default(), &world, &SimConfig::default(), &[]);
         assert_eq!(report.total_queries, 20);
         assert!(report.measured_admitted <= report.planned_admitted);
         assert!(report.p50_response_s <= report.p95_response_s);
@@ -2286,7 +1842,7 @@ mod tests {
             slo_sample_interval_s: Some(5.0),
             ..Default::default()
         };
-        let report = run_testbed(&ApproG::default(), &world, &cfg);
+        let report = run(&ApproG::default(), &world, &cfg, &[]);
         assert!(!report.slo_series.is_empty(), "sampling on → rows");
         for pair in report.slo_series.windows(2) {
             assert!(pair[0].t_s <= pair[1].t_s, "t_s must be monotone");
@@ -2301,7 +1857,7 @@ mod tests {
         let last = report.slo_series.last().unwrap();
         assert!((last.availability - report.availability).abs() < 1e-9);
         // Sampling must not perturb the simulation itself.
-        let plain = run_testbed(&ApproG::default(), &world, &SimConfig::default());
+        let plain = run(&ApproG::default(), &world, &SimConfig::default(), &[]);
         assert_eq!(plain.measured_admitted, report.measured_admitted);
         assert_eq!(plain.measured_volume, report.measured_volume);
     }
@@ -2309,8 +1865,8 @@ mod tests {
     #[test]
     fn deterministic_given_seeds() {
         let world = small_world(2, 3);
-        let a = run_testbed(&ApproG::default(), &world, &SimConfig::default());
-        let b = run_testbed(&ApproG::default(), &world, &SimConfig::default());
+        let a = run(&ApproG::default(), &world, &SimConfig::default(), &[]);
+        let b = run(&ApproG::default(), &world, &SimConfig::default(), &[]);
         assert_eq!(a.measured_admitted, b.measured_admitted);
         assert_eq!(a.measured_volume, b.measured_volume);
         assert_eq!(a.mean_response_s, b.mean_response_s);
@@ -2320,8 +1876,8 @@ mod tests {
     fn appro_beats_popularity_on_the_testbed() {
         // The Fig. 7/8 headline, at one configuration point.
         let world = small_world(3, 2);
-        let appro = run_testbed(&ApproG::default(), &world, &SimConfig::default());
-        let pop = run_testbed(&Popularity::general(), &world, &SimConfig::default());
+        let appro = run(&ApproG::default(), &world, &SimConfig::default(), &[]);
+        let pop = run(&Popularity::general(), &world, &SimConfig::default(), &[]);
         assert!(
             appro.measured_volume >= pop.measured_volume,
             "appro {} < popularity {}",
@@ -2333,7 +1889,7 @@ mod tests {
     #[test]
     fn single_dataset_world_runs_with_appro_s() {
         let world = small_world(1, 3);
-        let report = run_testbed(&ApproS::default(), &world, &SimConfig::default());
+        let report = run(&ApproS::default(), &world, &SimConfig::default(), &[]);
         assert!(report.measured_admitted <= report.total_queries);
     }
 
@@ -2350,7 +1906,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let report = run_testbed(&ApproG::default(), &world, &cfg);
+        let report = run(&ApproG::default(), &world, &cfg, &[]);
         assert!(
             report.consistency_rounds > 0,
             "aggressive growth must trigger synchronization"
@@ -2361,7 +1917,7 @@ mod tests {
     #[test]
     fn no_consistency_config_no_traffic() {
         let world = small_world(2, 3);
-        let report = run_testbed(&ApproG::default(), &world, &SimConfig::default());
+        let report = run(&ApproG::default(), &world, &SimConfig::default(), &[]);
         assert_eq!(report.consistency_rounds, 0);
         assert_eq!(report.consistency_gb, 0.0);
     }
@@ -2369,7 +1925,7 @@ mod tests {
     #[test]
     fn rejected_queries_never_execute() {
         let world = small_world(4, 1); // tight K: rejections guaranteed
-        let report = run_testbed(&ApproG::default(), &world, &SimConfig::default());
+        let report = run(&ApproG::default(), &world, &SimConfig::default(), &[]);
         let planned = report.planned_admitted;
         assert!(
             planned < report.total_queries,
@@ -2380,20 +1936,35 @@ mod tests {
 
     #[test]
     fn nic_contention_only_slows_things_down() {
+        // A FIFO egress can only delay flows relative to uncontended ones.
+        assert_nic_contention_only_slows(TransferModel::PointToPoint);
+    }
+
+    #[test]
+    fn chunked_nic_contention_only_slows_things_down() {
+        // The same bound holds when transfers run through the chunked
+        // preset, which queues its flows on the same FIFO egress.
+        assert_nic_contention_only_slows(
+            TransferModel::Chunked(transfer::ChunkedConfig::default()),
+        );
+    }
+
+    fn assert_nic_contention_only_slows(transfer: TransferModel) {
         let world = small_world(3, 3);
         let storm = SimConfig {
             arrival_rate_per_s: 50.0, // heavy overlap: NICs matter
+            transfer,
             ..Default::default()
         };
         let free = SimConfig {
             nic_contention: false,
             ..storm
         };
-        let with_nic = run_testbed(&ApproG::default(), &world, &storm);
-        let without = run_testbed(&ApproG::default(), &world, &free);
+        let with_nic = run(&ApproG::default(), &world, &storm, &[]);
+        let without = run(&ApproG::default(), &world, &free, &[]);
         assert!(
             with_nic.mean_response_s >= without.mean_response_s - 1e-9,
-            "serialized NICs cannot be faster ({} vs {})",
+            "{transfer:?}: serialized NICs cannot be faster ({} vs {})",
             with_nic.mean_response_s,
             without.mean_response_s
         );
@@ -2402,50 +1973,53 @@ mod tests {
 
     #[test]
     fn chunked_without_faults_is_byte_identical_to_p2p() {
-        // With no faults and uncontended NICs the chunked engine coalesces
-        // every transfer into a single flow priced by the same
-        // `(delay/GB * GB) * factor` product the point-to-point model
-        // uses, so every completion lands on the same microsecond and the
-        // two reports agree bit for bit.
+        // With no faults the chunked preset coalesces every transfer into
+        // a single flow priced by the same `(delay/GB * GB) * factor`
+        // product as a point-to-point flow, and both presets queue flows
+        // on the same FIFO egress, so every completion lands on the same
+        // microsecond and the two reports agree bit for bit — with egress
+        // contention on and off.
         let world = small_world(2, 3);
-        let base = SimConfig {
-            nic_contention: false,
-            consistency: Some(ConsistencyConfig {
-                growth_gb_per_hour: 100.0,
-                threshold: 0.05,
-                check_interval_s: 10.0,
-            }),
-            arrival_rate_per_s: 0.05,
-            seed: 3,
-            ..Default::default()
-        };
-        let chunked_cfg = SimConfig {
-            transfer: TransferModel::Chunked(transfer::ChunkedConfig::default()),
-            ..base
-        };
-        let p2p = run_testbed(&ApproG::default(), &world, &base);
-        let ch = run_testbed(&ApproG::default(), &world, &chunked_cfg);
-        assert_eq!(p2p.measured_admitted, ch.measured_admitted);
-        assert_eq!(p2p.measured_volume.to_bits(), ch.measured_volume.to_bits());
-        assert_eq!(p2p.mean_response_s.to_bits(), ch.mean_response_s.to_bits());
-        assert_eq!(p2p.p50_response_s.to_bits(), ch.p50_response_s.to_bits());
-        assert_eq!(p2p.p95_response_s.to_bits(), ch.p95_response_s.to_bits());
-        assert_eq!(p2p.max_response_s.to_bits(), ch.max_response_s.to_bits());
-        assert_eq!(p2p.mean_transfer_s.to_bits(), ch.mean_transfer_s.to_bits());
-        assert_eq!(
-            p2p.mean_queue_wait_s.to_bits(),
-            ch.mean_queue_wait_s.to_bits()
-        );
-        assert_eq!(p2p.availability.to_bits(), ch.availability.to_bits());
-        assert_eq!(p2p.consistency_rounds, ch.consistency_rounds);
-        assert!(p2p.consistency_rounds > 0, "exercise the scheduled tier");
-        assert_eq!(p2p.consistency_gb.to_bits(), ch.consistency_gb.to_bits());
-        assert_eq!(p2p.answers.len(), ch.answers.len());
-        // No faults: nothing to resume or abandon in either model.
-        assert_eq!(ch.transfer_resumes, 0);
-        assert_eq!(ch.chunk_gb_saved, 0.0);
-        assert_eq!(ch.abandoned_dead_source, 0);
-        assert_eq!(ch.abandoned_partitioned, 0);
+        for nic_contention in [false, true] {
+            let base = SimConfig {
+                nic_contention,
+                consistency: Some(ConsistencyConfig {
+                    growth_gb_per_hour: 100.0,
+                    threshold: 0.05,
+                    check_interval_s: 10.0,
+                }),
+                arrival_rate_per_s: 0.05,
+                seed: 3,
+                ..Default::default()
+            };
+            let chunked_cfg = SimConfig {
+                transfer: TransferModel::Chunked(transfer::ChunkedConfig::default()),
+                ..base
+            };
+            let p2p = run(&ApproG::default(), &world, &base, &[]);
+            let ch = run(&ApproG::default(), &world, &chunked_cfg, &[]);
+            assert_eq!(p2p.measured_admitted, ch.measured_admitted);
+            assert_eq!(p2p.measured_volume.to_bits(), ch.measured_volume.to_bits());
+            assert_eq!(p2p.mean_response_s.to_bits(), ch.mean_response_s.to_bits());
+            assert_eq!(p2p.p50_response_s.to_bits(), ch.p50_response_s.to_bits());
+            assert_eq!(p2p.p95_response_s.to_bits(), ch.p95_response_s.to_bits());
+            assert_eq!(p2p.max_response_s.to_bits(), ch.max_response_s.to_bits());
+            assert_eq!(p2p.mean_transfer_s.to_bits(), ch.mean_transfer_s.to_bits());
+            assert_eq!(
+                p2p.mean_queue_wait_s.to_bits(),
+                ch.mean_queue_wait_s.to_bits()
+            );
+            assert_eq!(p2p.availability.to_bits(), ch.availability.to_bits());
+            assert_eq!(p2p.consistency_rounds, ch.consistency_rounds);
+            assert!(p2p.consistency_rounds > 0, "exercise the scheduled tier");
+            assert_eq!(p2p.consistency_gb.to_bits(), ch.consistency_gb.to_bits());
+            assert_eq!(p2p.answers.len(), ch.answers.len());
+            // No faults: nothing to resume or abandon in either preset.
+            assert_eq!(ch.transfer_resumes, 0);
+            assert_eq!(ch.chunk_gb_saved, 0.0);
+            assert_eq!(ch.abandoned_dead_source, 0);
+            assert_eq!(ch.abandoned_partitioned, 0);
+        }
     }
 
     #[test]
@@ -2455,7 +2029,7 @@ mod tests {
             transfer: TransferModel::Chunked(transfer::ChunkedConfig::default()),
             ..Default::default()
         };
-        let report = run_testbed(&ApproG::default(), &world, &cfg);
+        let report = run(&ApproG::default(), &world, &cfg, &[]);
         // Result shipping rides the immediate tier; no repairs or
         // consistency pushes ran, so the other tiers stay empty.
         assert!(report.tier_completion_mean_s[0] > 0.0);
@@ -2466,34 +2040,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_nic_contention_only_slows_things_down() {
-        // Fair-shared finite NICs can only stretch flows relative to
-        // infinite ones — the fluid analogue of the legacy FIFO-NIC test.
-        let world = small_world(3, 3);
-        let storm = SimConfig {
-            arrival_rate_per_s: 50.0,
-            transfer: TransferModel::Chunked(transfer::ChunkedConfig::default()),
-            ..Default::default()
-        };
-        let free = SimConfig {
-            nic_contention: false,
-            ..storm
-        };
-        let with_nic = run_testbed(&ApproG::default(), &world, &storm);
-        let without = run_testbed(&ApproG::default(), &world, &free);
-        assert!(
-            with_nic.mean_response_s >= without.mean_response_s - 1e-9,
-            "fair-shared NICs cannot be faster ({} vs {})",
-            with_nic.mean_response_s,
-            without.mean_response_s
-        );
-    }
-
-    #[test]
     fn replication_skips_origin_copies() {
         // A plan whose only replica sits at the origin moves zero bytes.
         let world = small_world(1, 1);
-        let report = run_testbed(&ApproG::default(), &world, &SimConfig::default());
+        let report = run(&ApproG::default(), &world, &SimConfig::default(), &[]);
         // Volume moved is bounded by replicas * max size.
         let max_possible: f64 = world
             .instance
@@ -2565,8 +2115,7 @@ mod tests {
             node: ComputeNodeId(3), // c2: pure shard holder, serves nothing
             at_s: 0.0,
         }];
-        let report =
-            run_testbed_with_faults(&FixedPlan(plan), &world, &SimConfig::default(), &faults);
+        let report = run(&FixedPlan(plan), &world, &SimConfig::default(), &faults);
         assert_eq!(report.degraded_reads, 2, "both arrivals read 2 of 3 shards");
         assert_eq!(report.queries_lost_to_faults, 0);
         assert_eq!(report.measured_admitted, 2);
@@ -2588,8 +2137,7 @@ mod tests {
                 at_s: 0.0,
             },
         ];
-        let report =
-            run_testbed_with_faults(&FixedPlan(plan), &world, &SimConfig::default(), &faults);
+        let report = run(&FixedPlan(plan), &world, &SimConfig::default(), &faults);
         assert_eq!(report.queries_lost_to_faults, 2, "1 live shard < k = 2");
         assert_eq!(report.measured_admitted, 0);
         assert_eq!(report.degraded_reads, 0);
@@ -2602,7 +2150,7 @@ mod tests {
         // shard gather (0.1 s/GB × 2 GB from the nearest co-holder) plus
         // the decode (0.02 s/GB × 4 GB) on top of local processing.
         let (world, plan) = tiny_ec_world();
-        let report = run_testbed(&FixedPlan(plan), &world, &SimConfig::default());
+        let report = run(&FixedPlan(plan), &world, &SimConfig::default(), &[]);
         assert_eq!(report.degraded_reads, 0);
         assert_eq!(report.measured_admitted, 2);
         // proc 0.04 + gather 0.2 + decode 0.08 = 0.32 s, no result delay
@@ -2634,7 +2182,7 @@ mod tests {
             repair: false,
             ..Default::default()
         };
-        let report = run_testbed_with_faults(&FixedPlan(plan), &world, &cfg, &faults);
+        let report = run(&FixedPlan(plan), &world, &cfg, &faults);
         assert!(report.repairs_scheduled >= 1, "scrub found the lost shard");
         assert_eq!(
             report.repairs_completed, 1,
@@ -2672,8 +2220,8 @@ mod tests {
         let rep_world = small_world(2, 3);
         let ec_world = small_world_scheme(2, 3, RedundancyScheme::erasure(1, 2).unwrap());
         let cfg = SimConfig::default();
-        let a = run_testbed(&ApproG::default(), &rep_world, &cfg);
-        let b = run_testbed(&ApproG::default(), &ec_world, &cfg);
+        let a = run(&ApproG::default(), &rep_world, &cfg, &[]);
+        let b = run(&ApproG::default(), &ec_world, &cfg, &[]);
         assert_eq!(a.planned_admitted, b.planned_admitted);
         assert_eq!(a.measured_admitted, b.measured_admitted);
         assert_eq!(a.measured_volume.to_bits(), b.measured_volume.to_bits());

@@ -1,5 +1,5 @@
-//! Chunked, resumable multi-source transfer engine with priority tiers
-//! and per-link max-min fair sharing.
+//! The simulator's one transfer engine: chunked, resumable, multi-source
+//! transfers with priority tiers over FIFO egress.
 //!
 //! Datasets are split into fixed-size chunks tracked by a per-replica
 //! [`ChunkLedger`]. An in-flight [`Engine`] transfer opens one flow per
@@ -7,27 +7,29 @@
 //! across concurrent transfers of the same dataset. When a source dies or
 //! a link partitions mid-flight, the ledger keeps every verified chunk, so
 //! the transfer resumes from the last completed chunk instead of
-//! restarting from zero.
+//! restarting from zero. Point-to-point transfers are the degenerate
+//! preset ([`ChunkedConfig::point_to_point`]): one chunk per replica, one
+//! source, no resume.
 //!
-//! Bandwidth follows a fluid model: every (source, dest) flow gets a rate
-//! from a strict-priority max-min water-fill over per-node NIC capacities
-//! ([`FlowTier::Immediate`] fills first, then `Scheduled`, then
-//! `Background` — recomputing rates on every event is what "preemption"
-//! means in a fluid model), each flow additionally capped by its path rate
-//! `1 / (delay_s_per_gb * factor)`. Progress is integrated between
-//! events; the simulator schedules a single `FlowProgress` event at the
-//! engine's next predicted chunk completion.
+//! Bandwidth follows the paper's per-unit delay model: a flow moves data
+//! at its path rate `1 / (delay_s_per_gb * factor)`. Under egress
+//! contention each source node serves one flow at a time — the highest
+//! [`FlowTier`] first, then the earliest begun — while every other flow
+//! from that node waits; with contention off every flow runs at its path
+//! rate. There is no ingress cap. Recomputing the served set on every
+//! event is what makes a higher tier preempt a lower one mid-flight.
+//! Progress is integrated between events; the simulator schedules a single
+//! `FlowProgress` event at the engine's next predicted chunk completion.
 //!
 //! ## Exactness
 //!
-//! The legacy point-to-point model computes a transfer's duration as
-//! `(delay * gb) * factor` once, at launch. To keep zero-fault runs
-//! byte-identical to that baseline, a single-flow transfer that has the
-//! dataset to itself runs *coalesced*: one completion prediction covers
-//! the whole remainder, computed with the same expression and operand
+//! A flow served from an idle egress finishes at `now + (delay * gb) *
+//! factor`, the paper's transfer delay. A single-flow transfer that has
+//! the dataset to itself runs *coalesced*: one completion prediction
+//! covers the whole remainder, computed with that expression and operand
 //! order, and predictions are cached as absolute [`SimTime`]s that are
-//! only recomputed when the flow's rate or assignment actually changes —
-//! integration drift can never move a completion instant.
+//! only recomputed when the flow's service or assignment actually changes
+//! — integration drift can never move a completion instant.
 
 use crate::event::SimTime;
 
@@ -35,11 +37,8 @@ use crate::event::SimTime;
 /// preserves most progress; large enough that per-chunk events stay cheap.
 pub const DEFAULT_CHUNK_GB: f64 = 0.25;
 
-/// Default per-node NIC capacity (egress and ingress), GB/s.
-pub const DEFAULT_NIC_GB_PER_S: f64 = 2.5;
-
-/// Priority tier of a flow. Lower index = higher priority; the water-fill
-/// grants each tier bandwidth only from what the tiers above left over.
+/// Priority tier of a flow. Lower index = higher priority; a source's
+/// egress serves a lower tier only while no higher-tier flow waits on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FlowTier {
     /// Deadline-critical result transfers.
@@ -51,13 +50,6 @@ pub enum FlowTier {
 }
 
 impl FlowTier {
-    /// All tiers, highest priority first.
-    pub const ALL: [FlowTier; 3] = [
-        FlowTier::Immediate,
-        FlowTier::Scheduled,
-        FlowTier::Background,
-    ];
-
     /// Tier index (0 = highest priority).
     pub fn index(self) -> usize {
         match self {
@@ -88,9 +80,6 @@ pub struct ChunkedConfig {
     /// Fetch from all live holders in parallel; `false` pins each
     /// transfer to its single nearest source.
     pub multi_source: bool,
-    /// Per-node NIC capacity (applied to egress and ingress), GB/s.
-    /// `f64::INFINITY` models uncontended NICs.
-    pub nic_gb_per_s: f64,
 }
 
 impl Default for ChunkedConfig {
@@ -99,35 +88,41 @@ impl Default for ChunkedConfig {
             chunk_gb: DEFAULT_CHUNK_GB,
             resume: true,
             multi_source: true,
-            nic_gb_per_s: DEFAULT_NIC_GB_PER_S,
         }
     }
 }
 
 impl ChunkedConfig {
-    /// Disables resume (interrupted replicas restart from zero).
-    pub fn without_resume(mut self) -> Self {
-        self.resume = false;
-        self
-    }
-
-    /// Disables multi-source fetch (single nearest holder only).
-    pub fn without_multi_source(mut self) -> Self {
-        self.multi_source = false;
-        self
+    /// The point-to-point preset: one chunk per replica, a single source,
+    /// and an interrupted transfer restarts from zero.
+    pub fn point_to_point() -> Self {
+        Self {
+            chunk_gb: f64::MAX,
+            resume: false,
+            multi_source: false,
+        }
     }
 }
 
-/// Which transfer model the simulator runs.
+/// Which preset of the transfer engine the simulator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TransferModel {
-    /// Legacy single-source point-to-point flows with serialized egress.
+    /// Whole-replica single-source flows ([`ChunkedConfig::point_to_point`]).
     #[default]
     PointToPoint,
-    /// The chunked multi-source engine in this module.
+    /// Chunked, resumable, multi-source transfers.
     Chunked(ChunkedConfig),
 }
 
+impl TransferModel {
+    /// The engine configuration this model runs.
+    pub fn config(self) -> ChunkedConfig {
+        match self {
+            TransferModel::PointToPoint => ChunkedConfig::point_to_point(),
+            TransferModel::Chunked(cfg) => cfg,
+        }
+    }
+}
 /// Per-replica chunk ledger: which fixed-size pieces of a dataset copy
 /// have been transferred and verified.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,7 +206,8 @@ impl ChunkLedger {
     }
 
     /// Missing volume, GB. Exact (`== total_gb` bitwise) for a pristine
-    /// ledger so coalesced predictions reproduce the legacy expression.
+    /// ledger so coalesced predictions reproduce `(delay * gb) * factor`
+    /// exactly.
     pub fn missing_gb(&self) -> f64 {
         if self.verified_count() == 0 {
             return self.total_gb;
@@ -254,10 +250,8 @@ pub struct SourcePath {
 #[derive(Debug, Clone)]
 struct Flow {
     src: SourcePath,
-    /// Rate granted by the last water-fill, GB/s.
-    rate: f64,
-    /// Whether the path cap (not a NIC share) is the binding constraint.
-    at_path_cap: bool,
+    /// Whether the source's egress is moving this flow right now.
+    served: bool,
     /// Chunk currently being fetched.
     chunk: Option<usize>,
     /// Remaining GB in the current chunk.
@@ -269,7 +263,8 @@ struct Flow {
 }
 
 impl Flow {
-    fn path_cap(&self) -> f64 {
+    /// Path rate, GB/s (infinite on a zero-delay path).
+    fn path_rate(&self) -> f64 {
         let s_per_gb = self.src.delay_s_per_gb * self.src.factor;
         if s_per_gb <= 0.0 {
             f64::INFINITY
@@ -281,7 +276,6 @@ impl Flow {
 
 #[derive(Debug, Clone)]
 struct Transfer {
-    dest: usize,
     tier: FlowTier,
     dataset: Option<usize>,
     ledger: ChunkLedger,
@@ -290,26 +284,33 @@ struct Transfer {
     done: bool,
 }
 
-/// The transfer engine: owns every in-flight chunked transfer, grants
-/// rates, integrates progress, and reports completions.
+/// The transfer engine: owns every in-flight transfer, decides which
+/// flows each egress serves, integrates progress, and reports completions.
 pub struct Engine {
     cfg: ChunkedConfig,
+    /// Source nodes, for the per-egress FIFO.
     nodes: usize,
+    /// Each source egress serves one flow at a time (see the module docs).
+    fifo_egress: bool,
     transfers: Vec<Transfer>,
+    /// Ids of the transfers still in flight, ascending.
+    live: Vec<usize>,
     pending_done: Vec<usize>,
     generation: u64,
     now: SimTime,
 }
 
 impl Engine {
-    /// An empty engine over `nodes` compute nodes.
-    pub fn new(cfg: ChunkedConfig, nodes: usize) -> Self {
+    /// An empty engine over `nodes` compute nodes; `fifo_egress` turns on
+    /// egress contention.
+    pub fn new(cfg: ChunkedConfig, nodes: usize, fifo_egress: bool) -> Self {
         assert!(cfg.chunk_gb > 0.0 && cfg.chunk_gb.is_finite());
-        assert!(cfg.nic_gb_per_s > 0.0);
         Self {
             cfg,
             nodes,
+            fifo_egress,
             transfers: Vec::new(),
+            live: Vec::new(),
             pending_done: Vec::new(),
             generation: 0,
             now: SimTime::ZERO,
@@ -327,9 +328,9 @@ impl Engine {
         self.generation
     }
 
-    /// Transfers still in flight.
-    pub fn active_count(&self) -> usize {
-        self.transfers.iter().filter(|t| !t.done).count()
+    /// Ids of the transfers still in flight, ascending.
+    pub fn live(&self) -> &[usize] {
+        &self.live
     }
 
     /// Whether transfer `id` has completed or been cancelled.
@@ -352,12 +353,11 @@ impl Engine {
         self.transfers[id].ledger.verified_gb()
     }
 
-    /// Starts a transfer toward `dest` over `sources` and returns its id.
-    /// A ledger with verified chunks resumes: only missing chunks move.
+    /// Starts a transfer over `sources` and returns its id. A ledger with
+    /// verified chunks resumes: only missing chunks move.
     pub fn begin(
         &mut self,
         now: SimTime,
-        dest: usize,
         tier: FlowTier,
         dataset: Option<usize>,
         ledger: ChunkLedger,
@@ -367,7 +367,6 @@ impl Engine {
         let done = ledger.is_complete();
         let id = self.transfers.len();
         self.transfers.push(Transfer {
-            dest,
             tier,
             dataset,
             ledger,
@@ -378,6 +377,7 @@ impl Engine {
         if done {
             self.pending_done.push(id);
         } else {
+            self.live.push(id);
             self.apply_sources(id, sources);
         }
         self.settle();
@@ -404,6 +404,7 @@ impl Engine {
         t.done = true;
         t.flows.clear();
         let ledger = t.ledger.clone();
+        self.live.retain(|&x| x != id);
         self.pending_done.retain(|&x| x != id);
         self.settle();
         ledger
@@ -422,69 +423,46 @@ impl Engine {
         if !self.pending_done.is_empty() {
             return Some((self.now, self.generation));
         }
-        let mut best: Option<SimTime> = None;
-        for t in &self.transfers {
-            if t.done {
-                continue;
-            }
-            for f in &t.flows {
-                if let Some(p) = f.pred {
-                    if best.is_none_or(|b| p < b) {
-                        best = Some(p);
-                    }
-                }
-            }
-        }
-        best.map(|t| (t.max(self.now), self.generation))
+        self.live
+            .iter()
+            .flat_map(|&tid| self.transfers[tid].flows.iter().filter_map(|f| f.pred))
+            .min()
+            .map(|t| (t.max(self.now), self.generation))
     }
 
     /// Rarest-first chunk pick for transfer `id`: among missing chunks not
     /// already assigned to one of its own flows, the chunk held or fetched
     /// by the fewest concurrent transfers of the same dataset (ties break
-    /// to the lowest index). Public so the bench suite can time it.
-    pub fn pick_chunk(&self, id: usize) -> Option<usize> {
+    /// to the lowest index).
+    fn pick_chunk(&self, id: usize) -> Option<usize> {
         let tr = &self.transfers[id];
-        let mut best: Option<(usize, usize)> = None;
-        'chunks: for c in 0..tr.ledger.n_chunks() {
-            if tr.ledger.is_verified(c) {
-                continue;
-            }
-            for f in &tr.flows {
-                if f.chunk == Some(c) {
-                    continue 'chunks;
-                }
-            }
-            let cand = (self.swarm_count(id, c), c);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        best.map(|(_, c)| c)
+        (0..tr.ledger.n_chunks())
+            .filter(|&c| !tr.ledger.is_verified(c) && !tr.flows.iter().any(|f| f.chunk == Some(c)))
+            .min_by_key(|&c| (self.swarm_count(id, c), c))
+    }
+
+    /// Other in-flight transfers of transfer `id`'s dataset.
+    fn swarm(&self, id: usize) -> impl Iterator<Item = &Transfer> {
+        let dataset = self.transfers[id].dataset;
+        // A transfer without a dataset (a result) has no swarm.
+        let live = if dataset.is_some() {
+            &self.live[..]
+        } else {
+            &[]
+        };
+        live.iter()
+            .filter(move |&&o| o != id)
+            .map(|&o| &self.transfers[o])
+            .filter(move |t| t.dataset == dataset)
     }
 
     fn swarm_count(&self, id: usize, c: usize) -> usize {
-        let Some(d) = self.transfers[id].dataset else {
-            return 0;
-        };
-        self.transfers
-            .iter()
-            .enumerate()
-            .filter(|&(o, t)| o != id && !t.done && t.dataset == Some(d))
-            .filter(|&(_, t)| {
+        self.swarm(id)
+            .filter(|t| {
                 c < t.ledger.n_chunks()
                     && (t.ledger.is_verified(c) || t.flows.iter().any(|f| f.chunk == Some(c)))
             })
             .count()
-    }
-
-    fn shares_dataset(&self, id: usize) -> bool {
-        let Some(d) = self.transfers[id].dataset else {
-            return false;
-        };
-        self.transfers
-            .iter()
-            .enumerate()
-            .any(|(o, t)| o != id && !t.done && t.dataset == Some(d))
     }
 
     fn apply_sources(&mut self, id: usize, sources: &[SourcePath]) {
@@ -504,8 +482,7 @@ impl Engine {
             } else {
                 kept.push(Flow {
                     src: *s,
-                    rate: 0.0,
-                    at_path_cap: false,
+                    served: false,
                     chunk: None,
                     rem_gb: 0.0,
                     coalesced: false,
@@ -522,11 +499,8 @@ impl Engine {
         let target = target.max(self.now);
         loop {
             let mut best: Option<(SimTime, usize, usize)> = None;
-            for (tid, t) in self.transfers.iter().enumerate() {
-                if t.done {
-                    continue;
-                }
-                for (fid, f) in t.flows.iter().enumerate() {
+            for &tid in &self.live {
+                for (fid, f) in self.transfers[tid].flows.iter().enumerate() {
                     if let Some(p) = f.pred {
                         if p <= target && best.is_none_or(|b| (p, tid, fid) < b) {
                             best = Some((p, tid, fid));
@@ -547,15 +521,17 @@ impl Engine {
             return;
         }
         let dt = t.secs_since(self.now);
-        for tr in &mut self.transfers {
-            if tr.done {
-                continue;
-            }
+        for &tid in &self.live {
+            let tr = &mut self.transfers[tid];
             for f in &mut tr.flows {
-                if f.rate <= 0.0 || !f.rate.is_finite() || f.chunk.is_none() {
+                if !f.served || f.chunk.is_none() {
                     continue;
                 }
-                let mut budget = f.rate * dt;
+                let rate = f.path_rate();
+                if rate <= 0.0 || !rate.is_finite() {
+                    continue;
+                }
+                let mut budget = rate * dt;
                 if f.coalesced {
                     // May cross several chunk boundaries: verify each as
                     // the fluid front passes it. The *final* missing piece
@@ -611,30 +587,26 @@ impl Engine {
         if tr.ledger.is_complete() {
             tr.done = true;
             tr.flows.clear();
+            self.live.retain(|&x| x != tid);
             self.pending_done.push(tid);
         }
     }
 
     fn settle(&mut self) {
         self.assign_chunks();
-        self.waterfill();
+        self.serve();
         self.predict();
         self.generation += 1;
     }
 
     fn assign_chunks(&mut self) {
-        for tid in 0..self.transfers.len() {
-            if self.transfers[tid].done {
-                continue;
-            }
-            let eligible = self.transfers[tid].flows.len() == 1 && !self.shares_dataset(tid);
-            {
-                let tr = &mut self.transfers[tid];
-                for f in &mut tr.flows {
-                    if f.coalesced != eligible {
-                        f.coalesced = eligible;
-                        f.pred = None;
-                    }
+        for i in 0..self.live.len() {
+            let tid = self.live[i];
+            let eligible = self.transfers[tid].flows.len() == 1 && self.swarm(tid).next().is_none();
+            for f in &mut self.transfers[tid].flows {
+                if f.coalesced != eligible {
+                    f.coalesced = eligible;
+                    f.pred = None;
                 }
             }
             while let Some(fid) = self.transfers[tid]
@@ -651,129 +623,48 @@ impl Engine {
         }
     }
 
-    /// Strict-priority progressive max-min water-fill over per-node NIC
-    /// capacities, each flow capped by its path rate.
-    fn waterfill(&mut self) {
-        let mut egress = vec![self.cfg.nic_gb_per_s; self.nodes];
-        let mut ingress = vec![self.cfg.nic_gb_per_s; self.nodes];
-        for tier in FlowTier::ALL {
-            let mut act: Vec<(usize, usize)> = Vec::new();
-            for (tid, t) in self.transfers.iter().enumerate() {
-                if t.done || t.tier != tier {
-                    continue;
-                }
-                for (fid, f) in t.flows.iter().enumerate() {
-                    if f.chunk.is_some() {
-                        act.push((tid, fid));
+    /// Decides which flows move: under FIFO egress each source serves its
+    /// first flow by (tier, begin order) and every other flow from that
+    /// source waits; otherwise every flow with a chunk moves.
+    fn serve(&mut self) {
+        let mut head: Vec<Option<(FlowTier, usize)>> = vec![None; self.nodes];
+        if self.fifo_egress {
+            for &tid in &self.live {
+                let t = &self.transfers[tid];
+                for f in t.flows.iter().filter(|f| f.chunk.is_some()) {
+                    let h = &mut head[f.src.node];
+                    if h.is_none_or(|(tier, _)| t.tier < tier) {
+                        *h = Some((t.tier, tid));
                     }
-                }
-            }
-            if act.is_empty() {
-                continue;
-            }
-            let caps: Vec<f64> = act
-                .iter()
-                .map(|&(tid, fid)| self.transfers[tid].flows[fid].path_cap())
-                .collect();
-            let ends: Vec<(usize, usize)> = act
-                .iter()
-                .map(|&(tid, fid)| {
-                    (
-                        self.transfers[tid].flows[fid].src.node,
-                        self.transfers[tid].dest,
-                    )
-                })
-                .collect();
-            let mut granted = vec![0.0f64; act.len()];
-            let mut capped = vec![false; act.len()];
-            let mut frozen = vec![false; act.len()];
-            loop {
-                let live: Vec<usize> = (0..act.len()).filter(|&i| !frozen[i]).collect();
-                if live.is_empty() {
-                    break;
-                }
-                let mut eg_count = vec![0usize; self.nodes];
-                let mut in_count = vec![0usize; self.nodes];
-                for &i in &live {
-                    eg_count[ends[i].0] += 1;
-                    in_count[ends[i].1] += 1;
-                }
-                let mut inc = f64::INFINITY;
-                for &i in &live {
-                    let (s, d) = ends[i];
-                    inc = inc
-                        .min(egress[s] / eg_count[s] as f64)
-                        .min(ingress[d] / in_count[d] as f64)
-                        .min(caps[i] - granted[i]);
-                }
-                if inc.is_infinite() {
-                    for &i in &live {
-                        granted[i] = f64::INFINITY;
-                        capped[i] = true;
-                        frozen[i] = true;
-                    }
-                    break;
-                }
-                if inc > 0.0 {
-                    for &i in &live {
-                        let (s, d) = ends[i];
-                        granted[i] += inc;
-                        egress[s] -= inc;
-                        ingress[d] -= inc;
-                    }
-                }
-                let mut progressed = false;
-                for &i in &live {
-                    let (s, d) = ends[i];
-                    if granted[i] + 1e-12 >= caps[i] {
-                        granted[i] = caps[i];
-                        capped[i] = true;
-                        frozen[i] = true;
-                        progressed = true;
-                    } else if egress[s] <= 1e-9 || ingress[d] <= 1e-9 {
-                        frozen[i] = true;
-                        progressed = true;
-                    }
-                }
-                if !progressed {
-                    for &i in &live {
-                        frozen[i] = true;
-                    }
-                }
-            }
-            for (i, &(tid, fid)) in act.iter().enumerate() {
-                let f = &mut self.transfers[tid].flows[fid];
-                if f.rate.to_bits() != granted[i].to_bits() || f.at_path_cap != capped[i] {
-                    f.rate = granted[i];
-                    f.at_path_cap = capped[i];
-                    f.pred = None;
                 }
             }
         }
-        for t in &mut self.transfers {
-            if t.done {
-                continue;
-            }
+        for &tid in &self.live {
+            let t = &mut self.transfers[tid];
             for f in &mut t.flows {
-                if f.chunk.is_none() && f.rate != 0.0 {
-                    f.rate = 0.0;
-                    f.at_path_cap = false;
+                let served = f.chunk.is_some()
+                    && (!self.fifo_egress || head[f.src.node] == Some((t.tier, tid)));
+                if f.served != served {
+                    f.served = served;
                     f.pred = None;
                 }
             }
         }
     }
 
-    /// Recomputes completion instants for flows whose trajectory changed
-    /// (`pred == None`); undisturbed flows keep their cached instant.
+    /// Recomputes completion instants for served flows whose trajectory
+    /// changed (`pred == None`); undisturbed flows keep their cached
+    /// instant.
     fn predict(&mut self) {
         let now = self.now;
-        for t in &mut self.transfers {
-            if t.done {
-                continue;
-            }
+        for &tid in &self.live {
+            let t = &mut self.transfers[tid];
             for f in &mut t.flows {
-                if f.pred.is_some() || f.rate <= 0.0 {
+                if f.pred.is_some() || !f.served {
+                    continue;
+                }
+                let rate = f.path_rate();
+                if rate <= 0.0 {
                     continue;
                 }
                 let Some(c) = f.chunk else { continue };
@@ -787,13 +678,11 @@ impl Engine {
                 } else {
                     f.rem_gb
                 };
-                let dt = if f.rate.is_infinite() {
+                let dt = if rate.is_infinite() {
                     0.0
-                } else if f.at_path_cap {
-                    // Legacy operand order: (delay * gb) * factor.
-                    (f.src.delay_s_per_gb * rem) * f.src.factor
                 } else {
-                    rem / f.rate
+                    // The paper's transfer delay: (delay * gb) * factor.
+                    (f.src.delay_s_per_gb * rem) * f.src.factor
                 };
                 f.pred = Some(now.after_secs(dt));
             }
@@ -817,14 +706,9 @@ mod tests {
         }
     }
 
-    fn engine(nic: f64) -> Engine {
-        Engine::new(
-            ChunkedConfig {
-                nic_gb_per_s: nic,
-                ..ChunkedConfig::default()
-            },
-            8,
-        )
+    /// A default-chunked engine over 8 nodes, with or without FIFO egress.
+    fn engine(fifo_egress: bool) -> Engine {
+        Engine::new(ChunkedConfig::default(), 8, fifo_egress)
     }
 
     #[test]
@@ -838,6 +722,10 @@ mod tests {
         let l = ChunkLedger::new(0.0, 0.25);
         assert_eq!(l.n_chunks(), 0);
         assert!(l.is_complete());
+        // The point-to-point preset moves a replica as one chunk.
+        let l = ChunkLedger::new(3.3, ChunkedConfig::point_to_point().chunk_gb);
+        assert_eq!(l.n_chunks(), 1);
+        assert_eq!(l.chunk_size(0), 3.3);
     }
 
     #[test]
@@ -856,11 +744,10 @@ mod tests {
 
     #[test]
     fn single_flow_matches_legacy_duration() {
-        // Legacy point-to-point: done = now + (delay * gb) * factor.
-        let mut e = engine(2.5);
+        // An idle egress: done = now + (delay * gb) * factor.
+        let mut e = engine(true);
         let id = e.begin(
             t(0.0),
-            1,
             FlowTier::Immediate,
             None,
             ChunkLedger::new(2.0, 0.25),
@@ -874,10 +761,9 @@ mod tests {
 
     #[test]
     fn zero_size_transfer_completes_immediately() {
-        let mut e = engine(2.5);
+        let mut e = engine(true);
         let id = e.begin(
             t(1.0),
-            1,
             FlowTier::Immediate,
             None,
             ChunkLedger::new(0.0, 0.25),
@@ -888,36 +774,35 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_splits_a_common_egress_nic() {
-        // Two fast paths (cap 10 GB/s) out of one 2.5 GB/s NIC: each flow
-        // gets 1.25 GB/s, so 1.25 GB finishes at t = 1.0 for both.
-        let mut e = engine(2.5);
+    fn fifo_egress_serializes_a_shared_source() {
+        // Two 1 GB flows out of node 0 at 0.5 s/GB: the first begun is
+        // served alone (done at 0.5), the second only after it (1.0).
+        let mut e = engine(true);
         let a = e.begin(
             t(0.0),
-            1,
             FlowTier::Immediate,
             None,
-            ChunkLedger::new(1.25, 0.25),
-            &[src(0, 0.1)],
+            ChunkLedger::new(1.0, 0.25),
+            &[src(0, 0.5)],
         );
         let b = e.begin(
             t(0.0),
-            2,
             FlowTier::Immediate,
             None,
-            ChunkLedger::new(1.25, 0.25),
-            &[src(0, 0.1)],
+            ChunkLedger::new(1.0, 0.25),
+            &[src(0, 0.5)],
         );
-        let done = e.advance(t(1.0));
-        assert!(done.contains(&a) && done.contains(&b));
+        assert_eq!(e.next_event().unwrap().0, t(0.5));
+        assert_eq!(e.advance(t(0.5)), vec![a]);
+        assert_eq!(e.next_event().unwrap().0, t(1.0));
+        assert_eq!(e.advance(t(1.0)), vec![b]);
     }
 
     #[test]
     fn uncontended_nic_runs_each_flow_at_path_rate() {
-        let mut e = engine(f64::INFINITY);
+        let mut e = engine(false);
         let a = e.begin(
             t(0.0),
-            1,
             FlowTier::Immediate,
             None,
             ChunkLedger::new(1.0, 0.25),
@@ -925,7 +810,6 @@ mod tests {
         );
         let b = e.begin(
             t(0.0),
-            2,
             FlowTier::Immediate,
             None,
             ChunkLedger::new(1.0, 0.25),
@@ -935,62 +819,50 @@ mod tests {
         assert!(done.contains(&a) && done.contains(&b));
     }
 
+    /// Begins a 2 GB `low` flow at t = 0 and a 1 GB `high` flow at
+    /// t = 0.25, both out of node 0 at 0.5 s/GB, and checks the FIFO
+    /// egress preempts `low`: `high` is done at 0.25 + 0.5 = 0.75, then
+    /// `low` moves its remaining 1.5 GB by 0.75 + 0.75 = 1.5.
+    fn assert_preempts(high: FlowTier, low: FlowTier) {
+        let mut e = engine(true);
+        let lo = e.begin(
+            t(0.0),
+            low,
+            Some(0),
+            ChunkLedger::new(2.0, 0.25),
+            &[src(0, 0.5)],
+        );
+        let hi = e.begin(
+            t(0.25),
+            high,
+            None,
+            ChunkLedger::new(1.0, 0.25),
+            &[src(0, 0.5)],
+        );
+        assert_eq!(e.next_event().unwrap().0, t(0.75));
+        assert_eq!(e.advance(t(0.75)), vec![hi]);
+        assert!((e.verified_gb(lo) - 0.5).abs() < 1e-9, "progress kept");
+        assert_eq!(e.next_event().unwrap().0, t(1.5));
+        assert_eq!(e.advance(t(1.5)), vec![lo]);
+    }
+
     #[test]
     fn strict_priority_preempts_background() {
-        let mut e = engine(2.5);
-        let bg = e.begin(
-            t(0.0),
-            1,
-            FlowTier::Background,
-            Some(0),
-            ChunkLedger::new(2.5, 0.25),
-            &[src(0, 0.1)],
-        );
-        let im = e.begin(
-            t(0.0),
-            2,
-            FlowTier::Immediate,
-            None,
-            ChunkLedger::new(2.5, 0.25),
-            &[src(0, 0.1)],
-        );
-        // Immediate takes the whole NIC: done at 1.0; background is
-        // starved until then, then runs 2.5 GB/s: done at 2.0.
-        assert_eq!(e.advance(t(1.0)), vec![im]);
-        assert_eq!(e.advance(t(2.0)), vec![bg]);
+        assert_preempts(FlowTier::Immediate, FlowTier::Background);
     }
 
     #[test]
     fn scheduled_outranks_background() {
-        let mut e = engine(2.5);
-        let bg = e.begin(
-            t(0.0),
-            1,
-            FlowTier::Background,
-            Some(0),
-            ChunkLedger::new(2.5, 0.25),
-            &[src(0, 0.1)],
-        );
-        let sc = e.begin(
-            t(0.0),
-            2,
-            FlowTier::Scheduled,
-            None,
-            ChunkLedger::new(2.5, 0.25),
-            &[src(0, 0.1)],
-        );
-        assert_eq!(e.advance(t(1.0)), vec![sc]);
-        assert_eq!(e.advance(t(2.0)), vec![bg]);
+        assert_preempts(FlowTier::Scheduled, FlowTier::Background);
     }
 
     #[test]
     fn multi_source_aggregates_bandwidth() {
-        // Two 1 GB/s paths into one dest with NIC 2.5: 4 GB in ~2 s
-        // instead of the single-source 4 s.
-        let mut e = engine(2.5);
+        // Two 1 GB/s paths from distinct egresses: 4 GB in 2 s instead of
+        // the single-source 4 s.
+        let mut e = engine(true);
         let id = e.begin(
             t(0.0),
-            2,
             FlowTier::Background,
             Some(0),
             ChunkLedger::new(4.0, 0.25),
@@ -1002,10 +874,9 @@ mod tests {
 
     #[test]
     fn rarest_first_diversifies_across_transfers() {
-        let mut e = engine(2.5);
+        let mut e = engine(true);
         let a = e.begin(
             t(0.0),
-            1,
             FlowTier::Background,
             Some(7),
             ChunkLedger::new(1.0, 0.25),
@@ -1013,7 +884,6 @@ mod tests {
         );
         let b = e.begin(
             t(0.0),
-            2,
             FlowTier::Background,
             Some(7),
             ChunkLedger::new(1.0, 0.25),
@@ -1023,15 +893,13 @@ mod tests {
         // each one's next pick avoids both in-flight chunks.
         assert_eq!(e.pick_chunk(b), Some(2));
         assert_eq!(e.pick_chunk(a), Some(2));
-        let _ = (a, b);
     }
 
     #[test]
     fn resume_keeps_verified_chunks_and_conserves_volume() {
-        let mut e = engine(2.5);
+        let mut e = engine(true);
         let id = e.begin(
             t(0.0),
-            1,
             FlowTier::Background,
             Some(3),
             ChunkLedger::new(2.0, 0.25),
@@ -1046,7 +914,6 @@ mod tests {
         // Resume later from the same ledger: only the missing 1.5 GB move.
         let id2 = e.begin(
             t(10.0),
-            1,
             FlowTier::Background,
             Some(3),
             ledger,
@@ -1061,10 +928,9 @@ mod tests {
 
     #[test]
     fn dropped_source_loses_only_the_partial_chunk() {
-        let mut e = engine(2.5);
+        let mut e = engine(true);
         let id = e.begin(
             t(0.0),
-            2,
             FlowTier::Background,
             Some(0),
             ChunkLedger::new(2.0, 0.25),
@@ -1086,14 +952,13 @@ mod tests {
     }
 
     #[test]
-    fn waterfill_recompute_is_deterministic() {
-        // The fair-share satellite: identical op sequences produce
-        // bitwise-identical schedules (event instants and generations).
+    fn egress_schedule_is_deterministic() {
+        // Identical op sequences produce bitwise-identical schedules
+        // (event instants and generations).
         let script = |e: &mut Engine| -> Vec<(u64, u64)> {
             let mut out = Vec::new();
             let a = e.begin(
                 t(0.0),
-                1,
                 FlowTier::Immediate,
                 None,
                 ChunkLedger::new(1.7, 0.25),
@@ -1101,7 +966,6 @@ mod tests {
             );
             let _b = e.begin(
                 t(0.1),
-                2,
                 FlowTier::Background,
                 Some(4),
                 ChunkLedger::new(3.0, 0.25),
@@ -1109,7 +973,6 @@ mod tests {
             );
             let c = e.begin(
                 t(0.2),
-                3,
                 FlowTier::Scheduled,
                 Some(4),
                 ChunkLedger::new(2.0, 0.25),
@@ -1126,39 +989,39 @@ mod tests {
             }
             out
         };
-        let mut e1 = engine(2.5);
-        let mut e2 = engine(2.5);
+        let mut e1 = engine(true);
+        let mut e2 = engine(true);
         assert_eq!(script(&mut e1), script(&mut e2));
         assert_eq!(e1.generation(), e2.generation());
     }
 
     #[test]
     fn stalled_background_flow_has_no_event_until_preemption_ends() {
-        let mut e = engine(2.5);
+        let mut e = engine(true);
         let _im = e.begin(
             t(0.0),
-            1,
             FlowTier::Immediate,
             None,
             ChunkLedger::new(5.0, 0.25),
-            &[src(0, 0.1)],
+            &[src(0, 0.5)],
         );
         let bg = e.begin(
             t(0.0),
-            2,
             FlowTier::Background,
             Some(0),
             ChunkLedger::new(1.0, 0.25),
-            &[src(0, 0.1)],
+            &[src(0, 0.5)],
         );
-        // Only the immediate flow predicts an event (bg rate is 0).
+        // Only the immediate flow predicts an event: the background flow
+        // waits behind it on node 0's egress.
         let (at, _) = e.next_event().unwrap();
-        assert_eq!(at, SimTime::ZERO.after_secs(2.0));
+        assert_eq!(at, t(2.5));
         let done = e.advance(at);
         assert_eq!(done.len(), 1);
         assert!(!e.is_done(bg));
-        // After preemption ends the background flow finishes 1 GB at 2.5.
+        // After preemption ends the background flow moves 1 GB by 3.0.
         let (at2, _) = e.next_event().unwrap();
+        assert_eq!(at2, t(3.0));
         assert_eq!(e.advance(at2), vec![bg]);
     }
 }

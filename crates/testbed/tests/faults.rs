@@ -3,8 +3,11 @@
 
 use edgerep_core::appro::ApproG;
 use edgerep_model::ComputeNodeId;
-use edgerep_testbed::sim::{run_testbed_with_faults, NodeFailure};
-use edgerep_testbed::{build_testbed_instance, run_testbed, SimConfig, TestbedConfig};
+use edgerep_testbed::sim::NodeFailure;
+use edgerep_testbed::{
+    build_testbed_instance, try_run_testbed_with_plan, FaultPlan, SimConfig, SimError,
+    TestbedConfig, TestbedReport,
+};
 
 fn world(k: usize, seed: u64) -> edgerep_testbed::TestbedWorld {
     let cfg = TestbedConfig {
@@ -22,10 +25,25 @@ fn world(k: usize, seed: u64) -> edgerep_testbed::TestbedWorld {
     build_testbed_instance(&cfg, seed)
 }
 
+/// One Appro-G run under permanent node `faults` (empty = none).
+fn run(
+    w: &edgerep_testbed::TestbedWorld,
+    sim: &SimConfig,
+    faults: &[NodeFailure],
+) -> TestbedReport {
+    try_run_testbed_with_plan(
+        &ApproG::default(),
+        w,
+        sim,
+        &FaultPlan::from_failures(faults),
+    )
+    .unwrap()
+}
+
 #[test]
 fn no_faults_no_fault_accounting() {
     let w = world(3, 1);
-    let report = run_testbed(&ApproG::default(), &w, &SimConfig::default());
+    let report = run(&w, &SimConfig::default(), &[]);
     assert_eq!(report.failovers, 0);
     assert_eq!(report.queries_lost_to_faults, 0);
 }
@@ -34,7 +52,7 @@ fn no_faults_no_fault_accounting() {
 fn early_fault_never_increases_admissions() {
     let w = world(3, 2);
     let sim = SimConfig::default();
-    let clean = run_testbed(&ApproG::default(), &w, &sim);
+    let clean = run(&w, &sim, &[]);
     // Kill the busiest cloudlet before any query arrives.
     let loads = clean.plan.node_loads(&w.instance);
     let busiest = loads
@@ -44,8 +62,7 @@ fn early_fault_never_increases_admissions() {
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
         .map(|(i, _)| ComputeNodeId(i as u32))
         .unwrap();
-    let faulty = run_testbed_with_faults(
-        &ApproG::default(),
+    let faulty = run(
         &w,
         &sim,
         &[NodeFailure {
@@ -81,8 +98,7 @@ fn replication_enables_failover() {
                 node: ComputeNodeId(4), // first cloudlet VM
                 at_s: 0.0,
             };
-            let report = run_testbed_with_faults(
-                &ApproG::default(),
+            let report = run(
                 &w,
                 &SimConfig {
                     seed,
@@ -115,14 +131,14 @@ fn mid_run_fault_poisons_in_flight_queries() {
         arrival_rate_per_s: 100.0,
         ..Default::default()
     };
-    let clean = run_testbed(&ApproG::default(), &w, &sim);
+    let clean = run(&w, &sim, &[]);
     let faults: Vec<NodeFailure> = (4..8)
         .map(|i| NodeFailure {
             node: ComputeNodeId(i),
             at_s: 0.05,
         })
         .collect();
-    let faulty = run_testbed_with_faults(&ApproG::default(), &w, &sim, &faults);
+    let faulty = run(&w, &sim, &faults);
     assert!(faulty.measured_admitted <= clean.measured_admitted);
     // Accounting stays coherent.
     assert!(faulty.queries_lost_to_faults + faulty.answers.len() <= faulty.total_queries);
@@ -137,7 +153,7 @@ fn all_nodes_down_loses_everything() {
         .compute_ids()
         .map(|v| NodeFailure { node: v, at_s: 0.0 })
         .collect();
-    let report = run_testbed_with_faults(&ApproG::default(), &w, &SimConfig::default(), &faults);
+    let report = run(&w, &SimConfig::default(), &faults);
     assert_eq!(report.measured_admitted, 0);
     assert_eq!(report.answers.len(), 0);
     assert_eq!(
@@ -151,7 +167,7 @@ fn all_nodes_down_loses_everything() {
 // must hold for every seed, not a sampled subset).
 // ---------------------------------------------------------------------
 
-use edgerep_testbed::{try_run_testbed_with_plan, FaultConfig, FaultPlan};
+use edgerep_testbed::FaultConfig;
 
 /// 50+ seeded MTBF/MTTR plans — node flapping, link degradation and
 /// partitions — through the simulator with repair off and on: no code
@@ -245,7 +261,7 @@ fn fault_runs_are_deterministic() {
 fn repair_restores_replicas_lost_to_a_permanent_outage() {
     let w = world(3, 13);
     let sim_off = SimConfig::default();
-    let clean = run_testbed(&ApproG::default(), &w, &sim_off);
+    let clean = run(&w, &sim_off, &[]);
     // Kill the busiest replica-holding cloudlet permanently at t = 1 s.
     let mut holders = vec![0usize; w.instance.cloud().compute_count()];
     for d in w.instance.dataset_ids() {
@@ -305,7 +321,7 @@ fn zero_fault_plan_reproduces_clean_run_exactly() {
         repair: true, // even with repair armed there is nothing to repair
         ..Default::default()
     };
-    let clean = run_testbed(&ApproG::default(), &w, &sim);
+    let clean = run(&w, &sim, &[]);
     let faulted =
         try_run_testbed_with_plan(&ApproG::default(), &w, &sim, &FaultPlan::empty()).unwrap();
     assert_eq!(clean.measured_volume, faulted.measured_volume);
@@ -341,8 +357,9 @@ fn chunked_sim(seed: u64, repair: bool) -> SimConfig {
         seed,
         repair,
         transfer: TransferModel::Chunked(ChunkedConfig::default()),
-        // Uncontended NICs: both engines run identical path physics, so
-        // any divergence is purely fault-handling (resume/multi-source).
+        // Uncontended egress: flows never wait on each other, so any
+        // divergence from the point-to-point preset is purely
+        // fault-handling (chunking, resume, multi-source).
         nic_contention: false,
         ..Default::default()
     }
@@ -464,13 +481,12 @@ fn chunked_repair_no_worse_than_p2p_under_transient_faults() {
     );
 }
 
-/// A correlated region storm over background MTBF noise interrupts
-/// enough transfers that every interruption outcome fires in one run:
-/// resume (short outage, partial chunks kept), dead-source abandonment
-/// (no live holder through the retry budget), and partitioned
-/// abandonment (region isolation outlives the budget). The contended
-/// slow NIC stretches flows so bursts catch them mid-air — the same
-/// ingredients the `--storm` figure and the `scripts/ci.sh` trace
+/// Correlated region storms over background MTBF noise interrupt enough
+/// transfers that every interruption outcome fires across a 32-seed
+/// sweep: resume (short outage, partial chunks kept), dead-source
+/// abandonment (no live holder through the retry budget), and
+/// partitioned abandonment (region isolation outlives the budget) — the
+/// same ingredients the `--storm` figure and the `scripts/ci.sh` trace
 /// smoke rely on.
 #[test]
 fn storms_force_resumes_and_abandonments() {
@@ -486,53 +502,55 @@ fn storms_force_resumes_and_abandonments() {
             }
         })
         .collect();
-    let plan = FaultConfig {
-        node_mtbf_s: 40.0,
-        node_mttr_s: 30.0,
-        ..Default::default()
-    }
-    .with_node_fraction(0.3)
-    .with_storms(2)
-    .with_seed(6)
-    .generate_with_regions(&regions);
-    let sim = SimConfig {
-        seed: 6,
-        repair: true,
-        transfer: TransferModel::Chunked(ChunkedConfig {
-            nic_gb_per_s: 0.05,
+    let (mut resumes, mut saved_gb, mut dead_source, mut partitioned) = (0, 0.0, 0, 0);
+    for seed in 0..32u64 {
+        let plan = FaultConfig {
+            node_mtbf_s: 40.0,
+            node_mttr_s: 30.0,
             ..Default::default()
-        }),
-        nic_contention: true,
-        ..Default::default()
-    };
-    let report = try_run_testbed_with_plan(&ApproG::default(), &w, &sim, &plan).unwrap();
+        }
+        .with_node_fraction(0.3)
+        .with_storms(2)
+        .with_seed(seed)
+        .generate_with_regions(&regions);
+        let sim = SimConfig {
+            seed,
+            repair: true,
+            transfer: TransferModel::Chunked(ChunkedConfig::default()),
+            nic_contention: true,
+            ..Default::default()
+        };
+        let report = try_run_testbed_with_plan(&ApproG::default(), &w, &sim, &plan).unwrap();
+        assert!((0.0..=1.0).contains(&report.availability));
+        resumes += report.transfer_resumes;
+        saved_gb += report.chunk_gb_saved;
+        dead_source += report.abandoned_dead_source;
+        partitioned += report.abandoned_partitioned;
+    }
     assert!(
-        report.transfer_resumes > 0,
+        resumes > 0,
         "a short outage must park and resume at least one chunked transfer"
     );
-    assert!(report.chunk_gb_saved > 0.0, "resumed chunks must be kept");
+    assert!(saved_gb > 0.0, "resumed chunks must be kept");
     assert!(
-        report.abandoned_dead_source > 0,
+        dead_source > 0,
         "losing every holder through the retry budget must abandon"
     );
     assert!(
-        report.abandoned_partitioned > 0,
+        partitioned > 0,
         "a 150 s isolation outlives the retry budget: something must abandon"
     );
-    assert!((0.0..=1.0).contains(&report.availability));
 }
 
 #[test]
-#[should_panic(expected = "unknown node")]
 fn fault_on_unknown_node_rejected() {
     let w = world(2, 8);
-    run_testbed_with_faults(
-        &ApproG::default(),
-        &w,
-        &SimConfig::default(),
-        &[NodeFailure {
-            node: ComputeNodeId(999),
-            at_s: 1.0,
-        }],
-    );
+    let plan = FaultPlan::from_failures(&[NodeFailure {
+        node: ComputeNodeId(999),
+        at_s: 1.0,
+    }]);
+    let err = try_run_testbed_with_plan(&ApproG::default(), &w, &SimConfig::default(), &plan)
+        .expect_err("a fault on a node the world lacks must be rejected");
+    assert!(matches!(err, SimError::FaultPlan(_)), "got {err:?}");
+    assert!(err.to_string().contains("unknown node"), "got {err}");
 }

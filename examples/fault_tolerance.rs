@@ -8,7 +8,7 @@
 use edgerep_core::appro::ApproG;
 use edgerep_model::ComputeNodeId;
 use edgerep_testbed::{
-    build_testbed_instance, run_testbed, run_testbed_with_faults, NodeFailure, SimConfig,
+    build_testbed_instance, try_run_testbed_with_plan, FaultPlan, NodeFailure, SimConfig,
     TestbedConfig,
 };
 
@@ -29,7 +29,9 @@ fn main() {
                 seed,
                 ..Default::default()
             };
-            let clean = run_testbed(&ApproG::default(), &world, &sim);
+            let clean =
+                try_run_testbed_with_plan(&ApproG::default(), &world, &sim, &FaultPlan::empty())
+                    .expect("Appro-G plans validate");
             // The adversarial failure: whichever cloudlet the plan loads
             // most heavily goes down before the first query arrives.
             let loads = clean.plan.node_loads(&world.instance);
@@ -40,15 +42,12 @@ fn main() {
                 .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
                 .map(|(i, _)| ComputeNodeId(i as u32))
                 .expect("cloudlets exist");
-            let faulty = run_testbed_with_faults(
-                &ApproG::default(),
-                &world,
-                &sim,
-                &[NodeFailure {
-                    node: busiest,
-                    at_s: 0.0,
-                }],
-            );
+            let fault = FaultPlan::from_failures(&[NodeFailure {
+                node: busiest,
+                at_s: 0.0,
+            }]);
+            let faulty = try_run_testbed_with_plan(&ApproG::default(), &world, &sim, &fault)
+                .expect("the busiest cloudlet is a valid fault target");
             clean_v += clean.measured_volume;
             faulty_v += faulty.measured_volume;
             failovers += faulty.failovers;

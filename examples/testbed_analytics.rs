@@ -12,7 +12,8 @@ use edgerep_core::appro::ApproG;
 use edgerep_core::popularity::Popularity;
 use edgerep_testbed::analytics::AnalyticsResult;
 use edgerep_testbed::{
-    build_testbed_instance, run_testbed, ConsistencyConfig, SimConfig, TestbedConfig,
+    build_testbed_instance, try_run_testbed_with_plan, ConsistencyConfig, FaultPlan, SimConfig,
+    TestbedConfig,
 };
 
 fn main() {
@@ -39,8 +40,10 @@ fn main() {
     };
 
     for report in [
-        run_testbed(&ApproG::default(), &world, &sim),
-        run_testbed(&Popularity::general(), &world, &sim),
+        try_run_testbed_with_plan(&ApproG::default(), &world, &sim, &FaultPlan::empty())
+            .expect("controller plans validate"),
+        try_run_testbed_with_plan(&Popularity::general(), &world, &sim, &FaultPlan::empty())
+            .expect("controller plans validate"),
     ] {
         println!("=== {} ===", report.algorithm);
         println!(

@@ -42,8 +42,10 @@ cargo test --offline -q -p edgerep-exp --test integration_determinism
 # The solver hot path (cached candidate matrix, batched dual prices,
 # dirty-set select) and
 # the rolling incremental-replan fast path must stay byte-identical to
-# their naive reference paths: run the equivalence pins by name so a
-# filtered run can never silently skip them.
+# their naive reference paths, and the transfer engine's chunked preset
+# must measure exactly what its point-to-point preset does without
+# faults: run the equivalence pins by name so a filtered run can never
+# silently skip them.
 echo "== equivalence: cached hot path == naive reference =="
 cargo test --offline -q -p edgerep-core --lib appro::tests::cached_scan
 cargo test --offline -q -p edgerep-testbed --test appro_equivalence
@@ -51,6 +53,8 @@ cargo test --offline -q -p edgerep-core --test proptests solvers_tolerate_discon
 cargo test --offline -q -p edgerep-testbed --lib rolling::tests::replan_skips_on_empty_diff_and_reuses_layout_verbatim
 cargo test --offline -q -p edgerep-testbed --lib rolling::tests::cached_world_stamps_identical_instances
 cargo test --offline -q -p edgerep-shard --lib solver::tests::r1_wrapper_matches_the_inner_algorithm_exactly
+cargo test --offline -q -p edgerep-testbed --lib sim::tests::chunked_without_faults_is_byte_identical_to_p2p
+cargo test --offline -q -p edgerep-exp --test cli transfer_presets_measure_the_same_volumes
 
 # Smoke the traced figure regeneration: every line must be JSON and the
 # file must end in the registry-dump completion marker.

@@ -6,7 +6,9 @@ use edgerep_core::{simulation_panel, BoxedAlgorithm};
 use edgerep_exp::figures::Series;
 use edgerep_exp::runner::{run_simulation_point, run_testbed_point};
 use edgerep_exp::Summary;
-use edgerep_testbed::{build_testbed_instance, run_testbed, SimConfig, TestbedConfig};
+use edgerep_testbed::{
+    build_testbed_instance, try_run_testbed_with_plan, FaultPlan, SimConfig, TestbedConfig,
+};
 use edgerep_workload::{generate_instance, WorkloadParams};
 
 #[test]
@@ -59,8 +61,20 @@ fn testbed_runs_identical_per_seed() {
     };
     let world = build_testbed_instance(&cfg, 21);
     let sim = SimConfig::default();
-    let r1 = run_testbed(&edgerep_core::appro::ApproG::default(), &world, &sim);
-    let r2 = run_testbed(&edgerep_core::appro::ApproG::default(), &world, &sim);
+    let r1 = try_run_testbed_with_plan(
+        &edgerep_core::appro::ApproG::default(),
+        &world,
+        &sim,
+        &FaultPlan::empty(),
+    )
+    .unwrap();
+    let r2 = try_run_testbed_with_plan(
+        &edgerep_core::appro::ApproG::default(),
+        &world,
+        &sim,
+        &FaultPlan::empty(),
+    )
+    .unwrap();
     assert_eq!(r1.measured_volume, r2.measured_volume);
     assert_eq!(r1.measured_admitted, r2.measured_admitted);
     assert_eq!(r1.mean_response_s, r2.mean_response_s);
@@ -137,7 +151,13 @@ fn flattened_testbed_schedule_matches_sequential_path() {
             panel
                 .iter()
                 .map(|alg| {
-                    let report = run_testbed(alg.as_ref(), &world, &seeded);
+                    let report = try_run_testbed_with_plan(
+                        alg.as_ref(),
+                        &world,
+                        &seeded,
+                        &FaultPlan::empty(),
+                    )
+                    .unwrap();
                     (report.measured_volume, report.measured_throughput)
                 })
                 .collect()

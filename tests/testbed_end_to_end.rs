@@ -6,7 +6,8 @@ use edgerep_core::popularity::Popularity;
 use edgerep_core::PlacementAlgorithm;
 use edgerep_testbed::analytics::{evaluate, merge};
 use edgerep_testbed::{
-    build_testbed_instance, run_testbed, ConsistencyConfig, SimConfig, TestbedConfig,
+    build_testbed_instance, try_run_testbed_with_plan, ConsistencyConfig, FaultPlan, SimConfig,
+    TestbedConfig,
 };
 
 fn world(seed: u64) -> edgerep_testbed::TestbedWorld {
@@ -27,7 +28,13 @@ fn world(seed: u64) -> edgerep_testbed::TestbedWorld {
 #[test]
 fn answers_match_direct_evaluation() {
     let world = world(5);
-    let report = run_testbed(&ApproG::default(), &world, &SimConfig::default());
+    let report = try_run_testbed_with_plan(
+        &ApproG::default(),
+        &world,
+        &SimConfig::default(),
+        &FaultPlan::empty(),
+    )
+    .unwrap();
     assert!(!report.answers.is_empty(), "something must complete");
     for (q, answer) in &report.answers {
         // Recompute the expected answer straight from the records the
@@ -52,7 +59,9 @@ fn accounting_invariants() {
         &ApproG::default() as &dyn PlacementAlgorithm,
         &Popularity::general(),
     ] {
-        let report = run_testbed(alg, &world, &SimConfig::default());
+        let report =
+            try_run_testbed_with_plan(alg, &world, &SimConfig::default(), &FaultPlan::empty())
+                .unwrap();
         assert!(report.measured_admitted <= report.planned_admitted);
         assert!(report.measured_volume <= report.planned_volume + 1e-9);
         assert!(report.planned_admitted <= report.total_queries);
@@ -73,7 +82,13 @@ fn measured_latency_respects_static_lower_bound() {
     // query's measured response is at least its static (uncontended)
     // delay under the same assignment.
     let world = world(7);
-    let report = run_testbed(&ApproG::default(), &world, &SimConfig::default());
+    let report = try_run_testbed_with_plan(
+        &ApproG::default(),
+        &world,
+        &SimConfig::default(),
+        &FaultPlan::empty(),
+    )
+    .unwrap();
     for (q, _) in &report.answers {
         let nodes = report
             .plan
@@ -107,8 +122,10 @@ fn consistency_traffic_scales_with_growth() {
         }),
         ..slow
     };
-    let r_slow = run_testbed(&ApproG::default(), &world, &slow);
-    let r_fast = run_testbed(&ApproG::default(), &world, &fast);
+    let r_slow =
+        try_run_testbed_with_plan(&ApproG::default(), &world, &slow, &FaultPlan::empty()).unwrap();
+    let r_fast =
+        try_run_testbed_with_plan(&ApproG::default(), &world, &fast, &FaultPlan::empty()).unwrap();
     assert!(
         r_fast.consistency_gb >= r_slow.consistency_gb,
         "10x growth must not reduce consistency traffic ({} vs {})",
@@ -129,8 +146,10 @@ fn higher_arrival_rate_never_improves_outcomes() {
         arrival_rate_per_s: 50.0,
         ..Default::default()
     };
-    let r_calm = run_testbed(&ApproG::default(), &world, &calm);
-    let r_storm = run_testbed(&ApproG::default(), &world, &storm);
+    let r_calm =
+        try_run_testbed_with_plan(&ApproG::default(), &world, &calm, &FaultPlan::empty()).unwrap();
+    let r_storm =
+        try_run_testbed_with_plan(&ApproG::default(), &world, &storm, &FaultPlan::empty()).unwrap();
     assert!(
         r_storm.measured_admitted <= r_calm.measured_admitted,
         "a query storm should not beat a calm arrival pattern ({} vs {})",
